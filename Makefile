@@ -1,13 +1,17 @@
-# Tier-1 gate: `make check` is what every PR must keep green (build,
-# vet, and the full test suite under the race detector — the engine's
-# worker pool makes concurrency a correctness feature, so -race is not
-# optional).
+# Tier-1 gate: `make check` is what every PR must keep green (gofmt,
+# build, vet, and the full test suite under the race detector — the
+# engine's worker pool makes concurrency a correctness feature, so -race
+# is not optional).
 
 GO ?= go
 
-.PHONY: check build test race vet check-json bench bench-analysis bench-incremental bench-calibration bench-serve bench-cluster payoff figs serve
+.PHONY: check fmt build test race vet check-json bench bench-analysis bench-incremental bench-calibration bench-serve bench-cluster payoff figs serve
 
-check: build vet race check-json
+check: fmt build vet race check-json
+
+# Every Go file must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

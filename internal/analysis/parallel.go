@@ -96,12 +96,12 @@ type parState struct {
 
 	// Run queue. qMu guards queue, active, and the flags; qCond signals
 	// pushes and broadcast-wakes on stop/quiescence.
-	qMu       sync.Mutex
-	qCond     *sync.Cond
-	queue     mcHeap
-	active    int // contours queued or running
-	stop      bool
-	tripped   bool
+	qMu        sync.Mutex
+	qCond      *sync.Cond
+	queue      mcHeap
+	active     int // contours queued or running
+	stop       bool
+	tripped    bool
 	cancelledF bool
 
 	// mcArr maps contour ID → contour for lock-free access in pmark
@@ -163,10 +163,10 @@ func unlockPair(a, b *sync.Mutex) {
 // bits, contour ID as the tiebreaker), captured at push time.
 type mcHeap []*MethodContour
 
-func (h mcHeap) Len() int            { return len(h) }
-func (h mcHeap) Less(i, j int) bool  { return h[i].prio < h[j].prio }
-func (h mcHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mcHeap) Push(x any)         { *h = append(*h, x.(*MethodContour)) }
+func (h mcHeap) Len() int           { return len(h) }
+func (h mcHeap) Less(i, j int) bool { return h[i].prio < h[j].prio }
+func (h mcHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *mcHeap) Push(x any)        { *h = append(*h, x.(*MethodContour)) }
 func (h *mcHeap) Pop() any {
 	old := *h
 	n := len(old)

@@ -29,6 +29,10 @@ type Tag struct {
 	Base  *Tag        // origin of the holder; nil for NoField/Top
 	Depth int
 
+	// owner is the class declaring Field in OC's class (Head's class),
+	// resolved once when the tag is interned.
+	owner *ir.Class
+
 	// uid is the tag's intrinsic identity hash, chained from the holder
 	// contour's identity hash, the field name, and the base tag's uid. It
 	// never depends on creation order, so contour keys derived from it
@@ -59,7 +63,7 @@ func (t *Tag) Head() FieldKey {
 	if t.AC != nil {
 		return FieldKey{Array: true, ASiteUID: siteUID(t.AC.SiteFn, t.AC.Site)}
 	}
-	return FieldKey{Class: declaringClass(t.OC.Class, t.Field), Name: t.Field}
+	return FieldKey{Class: t.owner, Name: t.Field}
 }
 
 // HeadOC returns the object contour holding the head field (nil for array
@@ -122,18 +126,23 @@ func (k FieldKey) String() string {
 	return k.Class.Name + "." + k.Name
 }
 
-// declaringClass walks up from c to the class that declares field name.
-func declaringClass(c *ir.Class, name string) *ir.Class {
-	var owner *ir.Class
-	for _, f := range c.Fields {
-		if f.Name == name {
-			owner = f.Owner
+// declaringClass returns the class that declares field name in c's
+// layout (the last declaration, for a name a subclass redeclares), or c
+// when no field has that name. It memoizes each class's answers, so a
+// wide class is scanned once rather than once per tag.
+func (tt *tagTable) declaringClass(c *ir.Class, name string) *ir.Class {
+	m, ok := tt.owners[c]
+	if !ok {
+		m = make(map[string]*ir.Class, len(c.Fields))
+		for _, f := range c.Fields {
+			m[f.Name] = f.Owner
 		}
+		tt.owners[c] = m
 	}
-	if owner == nil {
-		return c
+	if owner := m[name]; owner != nil {
+		return owner
 	}
-	return owner
+	return c
 }
 
 // tagTable interns tags for one analysis pass.
@@ -143,6 +152,7 @@ type tagTable struct {
 	byKey   map[tagKey]*Tag
 	next    int
 	maxDep  int
+	owners  map[*ir.Class]map[string]*ir.Class // declaringClass's memo
 
 	// mu guards byKey and next during a parallel pass (nil for the
 	// sequential solvers, where interning is single-threaded).
@@ -168,6 +178,7 @@ func newTagTable(maxDepth int) *tagTable {
 		noField: &Tag{ID: tagNoFieldID, uid: tagNoFieldUID},
 		top:     &Tag{ID: tagTopID, uid: tagTopUID},
 		byKey:   make(map[tagKey]*Tag),
+		owners:  make(map[*ir.Class]map[string]*ir.Class),
 		next:    2,
 		maxDep:  maxDepth,
 	}
@@ -235,6 +246,9 @@ func (tt *tagTable) insert(k tagKey, depth int) *Tag {
 	}
 	uid := hashU64(hashStr(hashU64(hashSeed(3), holder), k.field), baseUID)
 	t := &Tag{ID: tt.next, OC: k.oc, AC: k.ac, Field: k.field, Base: k.base, Depth: depth, uid: uid}
+	if k.oc != nil {
+		t.owner = tt.declaringClass(k.oc.Class, k.field)
+	}
 	tt.next++
 	tt.byKey[k] = t
 	return t

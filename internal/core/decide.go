@@ -261,6 +261,7 @@ func checkStores(prog *ir.Program, res *analysis.Result, val *valuability, d *De
 		in *ir.Instr
 	}
 	noted := make(map[storeKey]bool)
+	owners := make(fieldOwners)
 	check := func(fn *ir.Func, in *ir.Instr, k analysis.FieldKey, failMsg string) {
 		if !d.Inlined[k] || noted[storeKey{k, in}] {
 			return
@@ -283,7 +284,7 @@ func checkStores(prog *ir.Program, res *analysis.Result, val *valuability, d *De
 			case ir.OpSetField:
 				base := mc.Reg(in.Args[0])
 				for _, oc := range base.TS.ObjList() {
-					owner := fieldOwner(oc.Class, in.Field.Name)
+					owner := owners.of(oc.Class, in.Field.Name)
 					if owner == nil {
 						continue
 					}
@@ -309,6 +310,26 @@ func fieldOwner(c *ir.Class, name string) *ir.Class {
 		}
 	}
 	return nil
+}
+
+// fieldOwners memoizes fieldOwner per class, so resolving every field
+// access of a function against a wide class costs one map lookup each
+// instead of a scan of the layout. The source program's classes do not
+// change while Optimize runs.
+type fieldOwners map[*ir.Class]map[string]*ir.Class
+
+func (fo fieldOwners) of(c *ir.Class, name string) *ir.Class {
+	m, ok := fo[c]
+	if !ok {
+		m = make(map[string]*ir.Class, len(c.Fields))
+		for _, f := range c.Fields {
+			if _, dup := m[f.Name]; !dup {
+				m[f.Name] = f.Owner
+			}
+		}
+		fo[c] = m
+	}
+	return m[name]
 }
 
 // rejectContainmentCycles drops candidates that would flatten a class into

@@ -74,8 +74,14 @@ type versionSpace struct {
 
 	byShape map[string]*ClassVersion // class name + shape -> version
 	ocShape map[*analysis.ObjContour]string
-	list    []*ClassVersion
-	arrs    map[analysis.FieldKey]*ArrVersion
+	// ocVer memoizes versionOf. A versionSpace lives for one Optimize
+	// attempt, and its decision and subver do not change while it lives,
+	// so an object contour's version is fixed once computed; without the
+	// memo every field access re-derives its contour's prefix shape over
+	// all the fields of the class.
+	ocVer map[*analysis.ObjContour]*ClassVersion
+	list  []*ClassVersion
+	arrs  map[analysis.FieldKey]*ArrVersion
 
 	// subver forces selected object contours into their own class
 	// versions — the paper's class cloning "based upon the object
@@ -95,6 +101,7 @@ func newVersionSpace(res *analysis.Result, d *Decision, layout Layout) *versionS
 		layout:    layout,
 		byShape:   make(map[string]*ClassVersion),
 		ocShape:   make(map[*analysis.ObjContour]string),
+		ocVer:     make(map[*analysis.ObjContour]*ClassVersion),
 		arrs:      make(map[analysis.FieldKey]*ArrVersion),
 		conflicts: make(map[analysis.FieldKey]string),
 	}
@@ -191,7 +198,12 @@ func (vs *versionSpace) shapeOf(oc *analysis.ObjContour, path []*analysis.ObjCon
 
 // versionOf interns the class version of an object contour.
 func (vs *versionSpace) versionOf(oc *analysis.ObjContour) *ClassVersion {
-	return vs.versionFor(oc.Class, oc, len(oc.Class.Fields))
+	if v, ok := vs.ocVer[oc]; ok {
+		return v
+	}
+	v := vs.versionFor(oc.Class, oc, len(oc.Class.Fields))
+	vs.ocVer[oc] = v
+	return v
 }
 
 // versionFor builds the version of class c covering the first `upto`

@@ -86,6 +86,7 @@ type transformer struct {
 
 	tagMemo map[*analysis.Tag]*tagRes
 	plans   map[*analysis.MethodContour]*bodyPlan
+	owners  fieldOwners
 
 	// Materialization scratch state.
 	pendingDispatch []dispatchReg
@@ -106,6 +107,7 @@ func newTransformer(prog *ir.Program, res *analysis.Result, d *Decision, vs *ver
 		repable:   repableContours(res, d),
 		tagMemo:   make(map[*analysis.Tag]*tagRes),
 		plans:     make(map[*analysis.MethodContour]*bodyPlan),
+		owners:    make(fieldOwners),
 	}
 	t.findStackable()
 	return t
@@ -148,7 +150,7 @@ func (t *transformer) findStackable() {
 			case ir.OpSetField:
 				base := mc.Reg(in.Args[0])
 				for _, oc := range base.TS.ObjList() {
-					owner := fieldOwner(oc.Class, in.Field.Name)
+					owner := t.owners.of(oc.Class, in.Field.Name)
 					if owner == nil {
 						continue
 					}
@@ -682,7 +684,7 @@ func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, na
 		var bases []int
 		var vers []*ClassVersion
 		for _, oc := range ocs {
-			owner := fieldOwner(oc.Class, name)
+			owner := t.owners.of(oc.Class, name)
 			if owner == nil {
 				continue
 			}
@@ -711,7 +713,7 @@ func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, na
 			// Same name inlined for some receivers, plain for others.
 			var keys []analysis.FieldKey
 			for _, oc := range ocs {
-				if owner := fieldOwner(oc.Class, name); owner != nil {
+				if owner := t.owners.of(oc.Class, name); owner != nil {
 					keys = append(keys, analysis.FieldKey{Class: owner, Name: name})
 				}
 			}

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"objinline/internal/analysis"
@@ -31,7 +32,7 @@ type valuability struct {
 	// callers lists, per function, the call sites that may invoke it.
 	callers map[*ir.Func][]callSite
 
-	after map[*ir.Func][][]bool // after[fn][i][j]: instr j can run after instr i
+	index map[*ir.Func]*fnIndex // built lazily, one per function queried
 
 	readOnly  map[paramKey]bool
 	fresh     map[*ir.Func]int8 // 0 unknown, 1 yes, -1 no (FreshReturn)
@@ -55,7 +56,7 @@ func newValuability(prog *ir.Program, res *analysis.Result) *valuability {
 		res:       res,
 		callees:   make(map[*ir.Func]map[int][]*ir.Func),
 		callers:   make(map[*ir.Func][]callSite),
-		after:     make(map[*ir.Func][][]bool),
+		index:     make(map[*ir.Func]*fnIndex),
 		readOnly:  make(map[paramKey]bool),
 		fresh:     make(map[*ir.Func]int8),
 		byValue:   make(map[paramKey]int8),
@@ -124,66 +125,6 @@ func (v *valuability) buildCallGraph() {
 			return sites[i].in.ID < sites[j].in.ID
 		})
 	}
-}
-
-// afterMatrix returns (building lazily) the instruction-level "may execute
-// after" relation of fn: after[i][j] is true when instruction j can
-// execute after instruction i in some run (same-block later instructions
-// plus everything in reachable successor blocks; loops make blocks
-// self-reachable).
-func (v *valuability) afterMatrix(fn *ir.Func) [][]bool {
-	if m, ok := v.after[fn]; ok {
-		return m
-	}
-	nb := len(fn.Blocks)
-	succ := make([][]int, nb)
-	for _, b := range fn.Blocks {
-		last := b.Instrs[len(b.Instrs)-1]
-		switch last.Op {
-		case ir.OpJump:
-			succ[b.ID] = []int{last.Target}
-		case ir.OpBranch:
-			succ[b.ID] = []int{last.Target, last.Else}
-		}
-	}
-	// Block-level reachability (strictly "via an edge", so a block is
-	// after itself only when on a cycle).
-	reach := make([][]bool, nb)
-	for i := range reach {
-		reach[i] = make([]bool, nb)
-		work := append([]int(nil), succ[i]...)
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			if reach[i][b] {
-				continue
-			}
-			reach[i][b] = true
-			work = append(work, succ[b]...)
-		}
-	}
-	m := make([][]bool, fn.NumInstrs)
-	for i := range m {
-		m[i] = make([]bool, fn.NumInstrs)
-	}
-	for _, b := range fn.Blocks {
-		for i, in := range b.Instrs {
-			// Later instructions in the same block.
-			for j := i + 1; j < len(b.Instrs); j++ {
-				m[in.ID][b.Instrs[j].ID] = true
-			}
-			// All instructions of blocks reachable from here.
-			for _, ob := range fn.Blocks {
-				if reach[b.ID][ob.ID] {
-					for _, oin := range ob.Instrs {
-						m[in.ID][oin.ID] = true
-					}
-				}
-			}
-		}
-	}
-	v.after[fn] = m
-	return m
 }
 
 // computeReadOnly computes, to a greatest fixpoint, whether each parameter
@@ -266,13 +207,7 @@ func (v *valuability) aliasSet(fn *ir.Func, reg ir.Reg) map[ir.Reg]bool {
 }
 
 func (v *valuability) singleDef(fn *ir.Func, r ir.Reg, def *ir.Instr) bool {
-	count := 0
-	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
-		if in.Dst == r {
-			count++
-		}
-	})
-	return count == 1 && def.Dst == r
+	return len(v.indexOf(fn).defsOf(r)) == 1 && def.Dst == r
 }
 
 func usesAny(in *ir.Instr, regs map[ir.Reg]bool) bool {
@@ -423,86 +358,211 @@ func (v *valuability) safeHandoff(fn *ir.Func, reg ir.Reg, handoff *ir.Instr, is
 			return false
 		}
 	}
-	// Use checks.
-	safe := true
-	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
-		if !safe || in == handoff {
-			return
-		}
-		if !usesAny(in, chain.regs) {
-			return
-		}
-		if chain.chainDefs[in] {
-			return // the internal moves of the chain
-		}
-		if v.useStores(fn, in, chain.regs) {
-			safe = false
-			return
-		}
-		// No use of the *same value* may run after the handoff (the copy
-		// would expose stale state). A use is only dangerous when it is
-		// reachable from the handoff without the used register being
-		// redefined on the way — loop-carried re-creations are new values.
-		for _, a := range in.Args {
-			if chain.regs[a] && v.liveUseAfter(fn, handoff, in, a) {
-				safe = false
-				return
+	// Use checks, over the uses of each register of the chain (an
+	// instruction reading two of them is checked twice, to the same
+	// answer).
+	idx := v.indexOf(fn)
+	for r := range chain.regs {
+		for _, in := range idx.usesOf(r) {
+			if in == handoff || chain.chainDefs[in] {
+				continue // the handoff itself, or the chain's internal moves
+			}
+			if v.useStores(fn, in, chain.regs) {
+				return false
+			}
+			// No use of the *same value* may run after the handoff (the
+			// copy would expose stale state). A use is only dangerous when
+			// it is reachable from the handoff without the used register
+			// being redefined on the way — loop-carried re-creations are
+			// new values.
+			for _, a := range in.Args {
+				if chain.regs[a] && v.liveUseAfter(fn, handoff, in, a) {
+					return false
+				}
 			}
 		}
-	})
+	}
 	_ = isReturn
-	return safe
+	return true
 }
 
 // liveUseAfter reports whether instruction `use` (reading register x) can
 // execute after `handoff` while x still holds the handed-off value — i.e.
-// whether a path handoff→use exists that does not redefine x.
+// whether a path handoff→use exists that does not redefine x. The use is
+// reached before its own definition of x counts (x = x + 1 reads x).
+//
+// The cost is bounded by the blocks the path search visits, not by the
+// size of the function: positions and definitions come from fn's index, a
+// use later in the handoff's own block is decided by one range query, and
+// a block on the way that defines x ends that path without being scanned.
 func (v *valuability) liveUseAfter(fn *ir.Func, handoff, use *ir.Instr, x ir.Reg) bool {
-	// Locate the handoff's position.
-	type pos struct {
-		b   *ir.Block
-		idx int
-	}
-	var start *pos
-	for _, b := range fn.Blocks {
-		for i, in := range b.Instrs {
-			if in == handoff {
-				start = &pos{b, i}
-			}
-		}
-	}
-	if start == nil {
+	idx := v.indexOf(fn)
+	start, ok1 := idx.at(handoff)
+	at, ok2 := idx.at(use)
+	if !ok1 || !ok2 {
 		return true // unknown position: stay conservative
 	}
-	visited := make(map[int]bool) // by instruction ID
-	var walk func(b *ir.Block, idx int) bool
-	walk = func(b *ir.Block, idx int) bool {
-		for i := idx; i < len(b.Instrs); i++ {
-			in := b.Instrs[i]
-			if visited[in.ID] {
-				return false
+	if at.blk == start.blk && at.i > start.i {
+		return !idx.definedIn(x, start.blk, start.i+1, at.i)
+	}
+	// The rest of the handoff's block, then block by block. Re-entering
+	// the handoff's block at its top finds nothing new: what follows the
+	// handoff was walked first.
+	if idx.definedIn(x, start.blk, start.i+1, len(fn.Blocks[start.blk].Instrs)) {
+		return false
+	}
+	if idx.epoch++; idx.epoch == 0 { // wrapped: forget every old mark
+		clear(idx.seen)
+		idx.epoch = 1
+	}
+	work := idx.work[:0]
+	work = appendSuccs(work, fn.Blocks[start.blk])
+	found := false
+	for len(work) > 0 && !found {
+		b := work[len(work)-1]
+		work = work[:len(work)-1]
+		if idx.seen[b] == idx.epoch {
+			continue
+		}
+		idx.seen[b] = idx.epoch
+		switch {
+		case b == at.blk:
+			found = !idx.definedIn(x, b, 0, at.i)
+		case idx.definedIn(x, b, 0, len(fn.Blocks[b].Instrs)):
+		default:
+			work = appendSuccs(work, fn.Blocks[b])
+		}
+	}
+	idx.work = work[:0]
+	return found
+}
+
+// appendSuccs appends b's successor blocks to work.
+func appendSuccs(work []int, b *ir.Block) []int {
+	last := b.Instrs[len(b.Instrs)-1]
+	switch last.Op {
+	case ir.OpJump:
+		work = append(work, last.Target)
+	case ir.OpBranch:
+		work = append(work, last.Target, last.Else)
+	}
+	return work
+}
+
+// fnIndex is what the valuability queries need to know about one
+// function, computed once in a few linear passes over it: where each instruction is, and
+// which instructions define and read each register, in function order.
+// Functions are not mutated while a valuability lives (the optimizer
+// materializes a fresh output program), so the index stays valid.
+//
+// Registers are dense, so the per-register lists share one flat array
+// each, sliced by offsets: defs of r are defs[defStart[r]:defStart[r+1]].
+type fnIndex struct {
+	fn       *ir.Func
+	pos      []instrPos // by instruction ID
+	defStart []int
+	defs     []*ir.Instr
+	defAt    []instrPos // positions of defs, ascending per register
+	useStart []int
+	uses     []*ir.Instr // an instruction once per register it reads
+
+	seen  []uint32 // liveUseAfter's visited blocks: seen[b] == epoch
+	epoch uint32
+	work  []int
+}
+
+type instrPos struct{ blk, i int }
+
+func (v *valuability) indexOf(fn *ir.Func) *fnIndex {
+	if idx, ok := v.index[fn]; ok {
+		return idx
+	}
+	nregs, ninstrs := fn.NumRegs, 0
+	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
+		ninstrs = max(ninstrs, in.ID+1)
+		nregs = max(nregs, int(in.Dst)+1)
+		for _, a := range in.Args {
+			nregs = max(nregs, int(a)+1)
+		}
+	})
+	idx := &fnIndex{
+		fn:       fn,
+		pos:      make([]instrPos, ninstrs),
+		defStart: make([]int, nregs+1),
+		useStart: make([]int, nregs+1),
+		seen:     make([]uint32, len(fn.Blocks)),
+	}
+	// Count, turn counts into offsets, then fill.
+	readsOnce := func(in *ir.Instr, j int) bool { return !slices.Contains(in.Args[:j], in.Args[j]) }
+	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
+		if in.Dst != ir.NoReg {
+			idx.defStart[in.Dst+1]++
+		}
+		for j, a := range in.Args {
+			if readsOnce(in, j) {
+				idx.useStart[a+1]++
 			}
-			visited[in.ID] = true
-			if in == use {
-				return true
+		}
+	})
+	for r := 0; r < nregs; r++ {
+		idx.defStart[r+1] += idx.defStart[r]
+		idx.useStart[r+1] += idx.useStart[r]
+	}
+	idx.defs = make([]*ir.Instr, idx.defStart[nregs])
+	idx.defAt = make([]instrPos, idx.defStart[nregs])
+	idx.uses = make([]*ir.Instr, idx.useStart[nregs])
+	nextDef := slices.Clone(idx.defStart[:nregs])
+	nextUse := slices.Clone(idx.useStart[:nregs])
+	for bi, b := range fn.Blocks {
+		for i, in := range b.Instrs {
+			p := instrPos{bi, i}
+			idx.pos[in.ID] = p
+			if d := in.Dst; d != ir.NoReg {
+				idx.defs[nextDef[d]], idx.defAt[nextDef[d]] = in, p
+				nextDef[d]++
 			}
-			if in.Dst == x {
-				return false // value killed on this path
-			}
-			if in.IsTerminator() {
-				switch in.Op {
-				case ir.OpJump:
-					return walk(fn.Blocks[in.Target], 0)
-				case ir.OpBranch:
-					return walk(fn.Blocks[in.Target], 0) || walk(fn.Blocks[in.Else], 0)
-				default:
-					return false // return/trap: nothing after
+			for j, a := range in.Args {
+				if readsOnce(in, j) {
+					idx.uses[nextUse[a]] = in
+					nextUse[a]++
 				}
 			}
 		}
+	}
+	v.index[fn] = idx
+	return idx
+}
+
+// at returns the position of in, or false when in is not in the function.
+func (idx *fnIndex) at(in *ir.Instr) (instrPos, bool) {
+	if in.ID < 0 || in.ID >= len(idx.pos) {
+		return instrPos{}, false
+	}
+	p := idx.pos[in.ID]
+	if b := idx.fn.Blocks[p.blk]; p.i >= len(b.Instrs) || b.Instrs[p.i] != in {
+		return instrPos{}, false
+	}
+	return p, true
+}
+
+func (idx *fnIndex) defsOf(r ir.Reg) []*ir.Instr {
+	return idx.defs[idx.defStart[r]:idx.defStart[r+1]:idx.defStart[r+1]]
+}
+func (idx *fnIndex) usesOf(r ir.Reg) []*ir.Instr {
+	return idx.uses[idx.useStart[r]:idx.useStart[r+1]:idx.useStart[r+1]]
+}
+
+// definedIn reports whether an instruction of block blk at an index in
+// [lo, hi) defines x.
+func (idx *fnIndex) definedIn(x ir.Reg, blk, lo, hi int) bool {
+	if lo >= hi {
 		return false
 	}
-	return walk(start.b, start.idx+1)
+	ps := idx.defAt[idx.defStart[x]:idx.defStart[x+1]]
+	k := sort.Search(len(ps), func(k int) bool {
+		return ps[k].blk > blk || (ps[k].blk == blk && ps[k].i >= lo)
+	})
+	return k < len(ps) && ps[k].blk == blk && ps[k].i < hi
 }
 
 // defChain gathers the registers holding the value (through Move copies),
@@ -564,13 +624,7 @@ func isParamReg(fn *ir.Func, r ir.Reg) bool {
 }
 
 func (v *valuability) defsOf(fn *ir.Func, r ir.Reg) []*ir.Instr {
-	var out []*ir.Instr
-	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
-		if in.Dst == r {
-			out = append(out, in)
-		}
-	})
-	return out
+	return v.indexOf(fn).defsOf(r)
 }
 
 // CollectRoots gathers the OpNewObject instructions (and FreshReturn

@@ -224,8 +224,9 @@ func (op BinaryOp) String() string { return binOpNames[op] }
 
 // BinaryExpr applies a binary operator.
 type BinaryExpr struct {
-	Op   BinaryOp
-	X, Y Expr
+	StartPos source.Pos // X's start position
+	Op       BinaryOp
+	X, Y     Expr
 }
 
 // UnaryOp enumerates unary operators.
@@ -261,21 +262,24 @@ type CallExpr struct {
 
 // MethodCallExpr dynamically dispatches a method on a receiver.
 type MethodCallExpr struct {
-	Recv   Expr
-	Method string
-	Args   []Expr
+	StartPos source.Pos // Recv's start position
+	Recv     Expr
+	Method   string
+	Args     []Expr
 }
 
 // FieldExpr reads a field of an object.
 type FieldExpr struct {
-	Recv Expr
-	Name string
+	StartPos source.Pos // Recv's start position
+	Recv     Expr
+	Name     string
 }
 
 // IndexExpr reads an array element.
 type IndexExpr struct {
-	Arr   Expr
-	Index Expr
+	StartPos source.Pos // Arr's start position
+	Arr      Expr
+	Index    Expr
 }
 
 // NewExpr allocates an object and runs its constructor ("init" method).
@@ -291,7 +295,11 @@ type NewArrayExpr struct {
 	Len    Expr
 }
 
-// Pos implementations for expressions.
+// Pos implementations for expressions. A node whose source text begins
+// with a subexpression (binary operands, receivers, indexed arrays)
+// records that subexpression's start when it is built, so Pos is O(1)
+// rather than a walk down the left spine — the parser sets StartPos from
+// the leftmost operand's Pos, and a hand-built node must do the same.
 func (e *IntLit) Pos() source.Pos         { return e.LitPos }
 func (e *FloatLit) Pos() source.Pos       { return e.LitPos }
 func (e *StringLit) Pos() source.Pos      { return e.LitPos }
@@ -299,12 +307,12 @@ func (e *BoolLit) Pos() source.Pos        { return e.LitPos }
 func (e *NilLit) Pos() source.Pos         { return e.LitPos }
 func (e *SelfExpr) Pos() source.Pos       { return e.LitPos }
 func (e *Ident) Pos() source.Pos          { return e.NamePos }
-func (e *BinaryExpr) Pos() source.Pos     { return e.X.Pos() }
+func (e *BinaryExpr) Pos() source.Pos     { return e.StartPos }
 func (e *UnaryExpr) Pos() source.Pos      { return e.OpPos }
 func (e *CallExpr) Pos() source.Pos       { return e.NamePos }
-func (e *MethodCallExpr) Pos() source.Pos { return e.Recv.Pos() }
-func (e *FieldExpr) Pos() source.Pos      { return e.Recv.Pos() }
-func (e *IndexExpr) Pos() source.Pos      { return e.Arr.Pos() }
+func (e *MethodCallExpr) Pos() source.Pos { return e.StartPos }
+func (e *FieldExpr) Pos() source.Pos      { return e.StartPos }
+func (e *IndexExpr) Pos() source.Pos      { return e.StartPos }
 func (e *NewExpr) Pos() source.Pos        { return e.NewPos }
 func (e *NewArrayExpr) Pos() source.Pos   { return e.NewPos }
 

@@ -97,6 +97,12 @@ func TestPosAccessors(t *testing.T) {
 		&ast.FuncDecl{NamePos: pos},
 		&ast.Param{NamePos: pos},
 		&ast.FieldDecl{NamePos: pos},
+		// Nodes that start with a subexpression report the start recorded
+		// in StartPos, not a walk down to their leftmost leaf.
+		&ast.BinaryExpr{StartPos: pos, X: &ast.Ident{}, Y: &ast.Ident{}},
+		&ast.MethodCallExpr{StartPos: pos, Recv: &ast.Ident{}},
+		&ast.FieldExpr{StartPos: pos, Recv: &ast.Ident{}},
+		&ast.IndexExpr{StartPos: pos, Arr: &ast.Ident{}, Index: &ast.IntLit{}},
 	}
 	for _, n := range nodes {
 		if n.Pos() != pos {

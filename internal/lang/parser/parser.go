@@ -124,6 +124,10 @@ func (p *parser) parseClass() *ast.ClassDecl {
 			p.expect(token.Semicolon)
 		default:
 			p.errorf(p.tok.Pos, "expected field or method, found %s", p.tok)
+			// Consume the offending token first, as parseProgram does:
+			// sync stops *at* class and func keywords, so one of those
+			// inside a class body would otherwise loop forever.
+			p.next()
 			p.sync()
 		}
 	}
@@ -324,7 +328,7 @@ func (p *parser) parseBinary(minPrec int) ast.Expr {
 		op := binOps[p.tok.Kind]
 		p.next()
 		y := p.parseBinary(prec + 1)
-		x = &ast.BinaryExpr{Op: op, X: x, Y: y}
+		x = &ast.BinaryExpr{StartPos: x.Pos(), Op: op, X: x, Y: y}
 	}
 }
 
@@ -350,15 +354,15 @@ func (p *parser) parsePostfix(x ast.Expr) ast.Expr {
 			name := p.expect(token.Ident)
 			if p.tok.Kind == token.LParen {
 				args := p.parseArgs()
-				x = &ast.MethodCallExpr{Recv: x, Method: name.Lit, Args: args}
+				x = &ast.MethodCallExpr{StartPos: x.Pos(), Recv: x, Method: name.Lit, Args: args}
 			} else {
-				x = &ast.FieldExpr{Recv: x, Name: name.Lit}
+				x = &ast.FieldExpr{StartPos: x.Pos(), Recv: x, Name: name.Lit}
 			}
 		case token.LBrack:
 			p.next()
 			idx := p.parseExpr()
 			p.expect(token.RBrack)
-			x = &ast.IndexExpr{Arr: x, Index: idx}
+			x = &ast.IndexExpr{StartPos: x.Pos(), Arr: x, Index: idx}
 		default:
 			return x
 		}

@@ -172,6 +172,10 @@ func TestParseErrors(t *testing.T) {
 		{`blah`, "expected declaration"},
 		{`func main() { 1 = 2; }`, "cannot assign"},
 		{`func main() { (a + b) = 2; }`, "cannot assign"},
+		// A declaration keyword inside a class body must not stall
+		// recovery (it once looped forever).
+		{`class C { func f() { } }`, "expected field or method"},
+		{`class C { x; class D { } }`, "expected field or method"},
 	}
 	for _, c := range cases {
 		parseErr(t, c.src, c.frag)

@@ -71,11 +71,7 @@ func (fb *funcBuilder) expr(e ast.Expr) ir.Reg {
 		if e.Op == ast.OpAnd || e.Op == ast.OpOr {
 			return fb.shortCircuit(e)
 		}
-		x := fb.expr(e.X)
-		y := fb.expr(e.Y)
-		dst := fb.newReg()
-		fb.emit(&ir.Instr{Op: ir.OpBin, Dst: dst, Args: []ir.Reg{x, y}, Aux: int64(binOpMap[e.Op]), Pos: e.Pos()})
-		return dst
+		return fb.leftSpine(e)
 	case *ast.UnaryExpr:
 		x := fb.expr(e.X)
 		dst := fb.newReg()
@@ -87,27 +83,8 @@ func (fb *funcBuilder) expr(e ast.Expr) ir.Reg {
 		return dst
 	case *ast.CallExpr:
 		return fb.call(e)
-	case *ast.MethodCallExpr:
-		recv := fb.expr(e.Recv)
-		args := make([]ir.Reg, 0, len(e.Args)+1)
-		args = append(args, recv)
-		for _, a := range e.Args {
-			args = append(args, fb.expr(a))
-		}
-		dst := fb.newReg()
-		fb.emit(&ir.Instr{Op: ir.OpCallMethod, Dst: dst, Args: args, Method: e.Method, Pos: e.Pos()})
-		return dst
-	case *ast.FieldExpr:
-		recv := fb.expr(e.Recv)
-		dst := fb.newReg()
-		fb.emit(&ir.Instr{Op: ir.OpGetField, Dst: dst, Args: []ir.Reg{recv}, Field: fb.l.anchorField(e.Name), Pos: e.Pos()})
-		return dst
-	case *ast.IndexExpr:
-		arr := fb.expr(e.Arr)
-		idx := fb.expr(e.Index)
-		dst := fb.newReg()
-		fb.emit(&ir.Instr{Op: ir.OpArrGet, Dst: dst, Args: []ir.Reg{arr, idx}, Pos: e.Pos()})
-		return dst
+	case *ast.MethodCallExpr, *ast.FieldExpr, *ast.IndexExpr:
+		return fb.leftSpine(e)
 	case *ast.NewExpr:
 		return fb.newObject(e)
 	case *ast.NewArrayExpr:
@@ -119,6 +96,80 @@ func (fb *funcBuilder) expr(e ast.Expr) ir.Reg {
 		fb.l.errs.Add(e.Pos(), "unsupported expression")
 		dst := fb.newReg()
 		fb.emit(&ir.Instr{Op: ir.OpConstNil, Dst: dst, Pos: e.Pos()})
+		return dst
+	}
+}
+
+// leftOperand returns the operand lowered first when e is lowered as
+// "that operand, then the rest": arithmetic and comparison operators,
+// method calls, field reads and array reads.
+func leftOperand(e ast.Expr) (ast.Expr, bool) {
+	switch e := e.(type) {
+	case *ast.BinaryExpr:
+		if e.Op != ast.OpAnd && e.Op != ast.OpOr {
+			return e.X, true
+		}
+	case *ast.MethodCallExpr:
+		return e.Recv, true
+	case *ast.FieldExpr:
+		return e.Recv, true
+	case *ast.IndexExpr:
+		return e.Arr, true
+	}
+	return nil, false
+}
+
+// leftSpine lowers e by looping down its chain of left operands rather
+// than recursing, so a long chain such as 1 + 2 + … + n or
+// a.next.kids[0].step()… costs no Go stack depth proportional to its
+// length. Registers and instructions come out exactly as the recursive
+// order (left operand, other operands, the operation) would give them.
+func (fb *funcBuilder) leftSpine(e ast.Expr) ir.Reg {
+	base := len(fb.spine)
+	for {
+		x, ok := leftOperand(e)
+		if !ok {
+			break
+		}
+		fb.spine = append(fb.spine, e)
+		e = x
+	}
+	top := len(fb.spine)
+	acc := fb.expr(e)
+	for i := top - 1; i >= base; i-- {
+		acc = fb.applyTo(fb.spine[i], acc)
+	}
+	fb.spine = fb.spine[:base]
+	return acc
+}
+
+// applyTo lowers the rest of e, a node leftOperand accepts, given the
+// register holding its already lowered left operand.
+func (fb *funcBuilder) applyTo(e ast.Expr, left ir.Reg) ir.Reg {
+	switch e := e.(type) {
+	case *ast.BinaryExpr:
+		y := fb.expr(e.Y)
+		dst := fb.newReg()
+		fb.emit(&ir.Instr{Op: ir.OpBin, Dst: dst, Args: []ir.Reg{left, y}, Aux: int64(binOpMap[e.Op]), Pos: e.Pos()})
+		return dst
+	case *ast.MethodCallExpr:
+		args := make([]ir.Reg, 0, len(e.Args)+1)
+		args = append(args, left)
+		for _, a := range e.Args {
+			args = append(args, fb.expr(a))
+		}
+		dst := fb.newReg()
+		fb.emit(&ir.Instr{Op: ir.OpCallMethod, Dst: dst, Args: args, Method: e.Method, Pos: e.Pos()})
+		return dst
+	case *ast.FieldExpr:
+		dst := fb.newReg()
+		fb.emit(&ir.Instr{Op: ir.OpGetField, Dst: dst, Args: []ir.Reg{left}, Field: fb.l.anchorField(e.Name), Pos: e.Pos()})
+		return dst
+	default:
+		ix := e.(*ast.IndexExpr)
+		idx := fb.expr(ix.Index)
+		dst := fb.newReg()
+		fb.emit(&ir.Instr{Op: ir.OpArrGet, Dst: dst, Args: []ir.Reg{left, idx}, Pos: ix.Pos()})
 		return dst
 	}
 }

@@ -189,28 +189,64 @@ type funcBuilder struct {
 	fn      *ir.Func
 	cur     *ir.Block
 	nextReg ir.Reg
-	scopes  []map[string]ir.Reg
+	scopes  symtab
 	loops   []loopCtx
+	spine   []ast.Expr // leftSpine's work stack, shared by nested chains
 }
 
-func (fb *funcBuilder) pushScope() { fb.scopes = append(fb.scopes, make(map[string]ir.Reg)) }
-func (fb *funcBuilder) popScope()  { fb.scopes = fb.scopes[:len(fb.scopes)-1] }
+// symtab is a flat scoped symbol table: each name maps to a stack of its
+// bindings, innermost last, and each open scope keeps the names it
+// declared so closing it pops exactly those. Lookup and declaration are
+// one map access however deep the nesting.
+type symtab struct {
+	bindings map[string][]binding
+	undo     [][]string // per open scope, the names it declared
+}
+
+type binding struct {
+	reg   ir.Reg
+	scope int // index in undo of the declaring scope
+}
+
+func (fb *funcBuilder) pushScope() {
+	if fb.scopes.bindings == nil {
+		fb.scopes.bindings = make(map[string][]binding)
+	}
+	fb.scopes.undo = append(fb.scopes.undo, nil)
+}
+
+func (fb *funcBuilder) popScope() {
+	st := &fb.scopes
+	top := len(st.undo) - 1
+	for _, name := range st.undo[top] {
+		if stack := st.bindings[name]; len(stack) == 1 {
+			delete(st.bindings, name)
+		} else {
+			st.bindings[name] = stack[:len(stack)-1]
+		}
+	}
+	st.undo = st.undo[:top]
+}
 
 func (fb *funcBuilder) declare(name string, pos source.Pos) ir.Reg {
-	top := fb.scopes[len(fb.scopes)-1]
-	if _, dup := top[name]; dup {
+	st := &fb.scopes
+	top := len(st.undo) - 1
+	stack := st.bindings[name]
+	if n := len(stack); n > 0 && stack[n-1].scope == top {
 		fb.l.errs.Add(pos, "%s redeclared in this scope", name)
+		r := fb.newReg()
+		stack[n-1].reg = r
+		return r
 	}
 	r := fb.newReg()
-	top[name] = r
+	st.bindings[name] = append(stack, binding{reg: r, scope: top})
+	st.undo[top] = append(st.undo[top], name)
 	return r
 }
 
 func (fb *funcBuilder) lookup(name string) (ir.Reg, bool) {
-	for i := len(fb.scopes) - 1; i >= 0; i-- {
-		if r, ok := fb.scopes[i][name]; ok {
-			return r, true
-		}
+	if stack := fb.scopes.bindings[name]; len(stack) > 0 {
+		return stack[len(stack)-1].reg, true
 	}
 	return ir.NoReg, false
 }

@@ -1,6 +1,7 @@
 package lower_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"objinline/internal/lang/parser"
 	"objinline/internal/lang/sem"
 	"objinline/internal/lower"
+	"objinline/internal/vm"
 )
 
 func build(t *testing.T, src string) *ir.Program {
@@ -247,4 +249,46 @@ func main() {
 			t.Errorf("register r%d reused for %d allocations", r, n)
 		}
 	}
+}
+
+// TestShadowingAtDepth nests blocks 1200 deep, each declaring its own x
+// and reading an outer variable: every print must see the innermost
+// enclosing x, and leaving a block must restore the x it shadowed.
+func TestShadowingAtDepth(t *testing.T) {
+	const depth = 1200
+	var b strings.Builder
+	b.WriteString("func main() {\n  var x = 0;\n  var outer = 7;\n")
+	for i := 1; i <= depth; i++ {
+		fmt.Fprintf(&b, "{ var x = %d; var only%d = x + outer;\n", i, i)
+	}
+	b.WriteString("print(x);\n")
+	for i := depth; i >= 1; i-- {
+		fmt.Fprintf(&b, "} print(x);\n")
+	}
+	b.WriteString("}\n")
+	p := build(t, b.String())
+	var out strings.Builder
+	if _, err := vm.New(p, vm.Options{Out: &out}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	fmt.Fprintf(&want, "%d\n", depth)
+	for i := depth - 1; i >= 0; i-- {
+		fmt.Fprintf(&want, "%d\n", i)
+	}
+	if out.String() != want.String() {
+		t.Errorf("shadowed reads are wrong: got %.80q…, want %.80q…", out.String(), want.String())
+	}
+
+	// A name declared only in an inner block is gone once it closes,
+	// however deep, and a redeclaration is reported only in its own scope.
+	var deep strings.Builder
+	deep.WriteString("func main() {\n")
+	for i := 0; i < depth; i++ {
+		deep.WriteString("{ var x = 1; ")
+	}
+	deep.WriteString(strings.Repeat("}", depth))
+	deep.WriteString(" print(x);\n}\n")
+	buildErr(t, deep.String(), "undeclared variable x")
+	buildErr(t, "func main() {"+strings.Repeat(" { var x = 1;", depth)+" var x = 2;"+strings.Repeat(" }", depth)+" }", "redeclared in this scope")
 }

@@ -183,38 +183,85 @@ func threadJumps(fn *ir.Func) bool {
 			target[i] = b.Instrs[0].Target
 		}
 	}
-	// Collapse chains, guarding against cycles of empty jumps.
-	resolve := func(i int) int {
-		seen := map[int]bool{}
-		for !seen[i] {
-			seen[i] = true
-			if target[i] == i {
-				return i
-			}
-			i = target[i]
-		}
-		return i
-	}
+	r := newJumpResolver(target)
 	changed := false
 	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
 		switch in.Op {
 		case ir.OpJump:
-			if n := resolve(in.Target); n != in.Target {
+			if n := r.resolve(in.Target); n != in.Target {
 				in.Target = n
 				changed = true
 			}
 		case ir.OpBranch:
-			if n := resolve(in.Target); n != in.Target {
+			if n := r.resolve(in.Target); n != in.Target {
 				in.Target = n
 				changed = true
 			}
-			if n := resolve(in.Else); n != in.Else {
+			if n := r.resolve(in.Else); n != in.Else {
 				in.Else = n
 				changed = true
 			}
 		}
 	})
 	return changed
+}
+
+// jumpResolver collapses chains of single-jump blocks. Each chain is
+// walked once: every block on it remembers the chain's end (path
+// compression), so resolving all the edges of a function costs time
+// linear in its blocks however long the chains are.
+type jumpResolver struct {
+	target []int // target[i]: the block i's lone jump leads to, or i
+	end    []int // memoized resolve(i), or -1 when not yet known
+	onPath []bool
+	path   []int
+}
+
+func newJumpResolver(target []int) *jumpResolver {
+	end := make([]int, len(target))
+	for i := range end {
+		end[i] = -1
+	}
+	return &jumpResolver{target: target, end: end, onPath: make([]bool, len(target))}
+}
+
+// resolve returns where a jump to block i ends up: the first block of the
+// chain from i that is not a lone jump. A chain that runs into a cycle of
+// empty jumps ends at the first block the walk revisits: the block where
+// it enters the cycle, or the start itself when that lies on the cycle.
+func (r *jumpResolver) resolve(i int) int {
+	if r.end[i] >= 0 {
+		return r.end[i]
+	}
+	r.path = r.path[:0]
+	j := i
+	for r.end[j] < 0 && r.target[j] != j && !r.onPath[j] {
+		r.onPath[j] = true
+		r.path = append(r.path, j)
+		j = r.target[j]
+	}
+	end := j
+	if r.end[j] >= 0 {
+		end = r.end[j]
+	}
+	// If the walk came back to j, j and the blocks after it on the path
+	// form the cycle, and each of those is its own answer.
+	cycleAt := -1
+	if r.onPath[j] {
+		cycleAt = j
+	}
+	r.end[j] = end
+	onCycle := false
+	for _, k := range r.path {
+		r.onPath[k] = false
+		onCycle = onCycle || k == cycleAt
+		if onCycle {
+			r.end[k] = k
+		} else {
+			r.end[k] = end
+		}
+	}
+	return r.end[i]
 }
 
 // dropUnreachable removes blocks not reachable from the entry and

@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"objinline/internal/emit"
 	"objinline/internal/pipeline"
+	"objinline/internal/progen"
 	"objinline/internal/vm"
 )
 
@@ -29,8 +29,7 @@ func TestNativeDifferentialFuzz(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			t.Parallel()
-			g := &progGen{r: rand.New(rand.NewSource(int64(seed)))}
-			src := g.generate()
+			src := progen.Generate(int64(seed))
 
 			configs := []struct {
 				name string
