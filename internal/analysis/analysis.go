@@ -736,7 +736,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 			// Types flow through the field; the loaded value is tagged
 			// MakeTag(f, tag(o)) per §4.1. Content provenance is *not*
 			// unioned in: it stays recorded on the field state and is
-			// resolved on demand (Result.RepsOf), exactly as the paper's
+			// resolved on demand (RepResolver), exactly as the paper's
 			// field-confluence partitions associate a content tag with
 			// each split object contour.
 			w.unionTS(dst, fs)

@@ -64,76 +64,186 @@ func (r *Rep) Unique() (FieldKey, bool) {
 // PureRaw reports whether the value is definitely the raw object.
 func (r *Rep) PureRaw() bool { return r.Raw && !r.Confused && len(r.Fields) == 0 }
 
-// RepsOf resolves a tag set against a tentative inlining decision:
-// inlined(k) reports whether field k is (still) a candidate. Tags of
-// non-inlined fields are resolved through the field's recorded content
-// tags; cycles in content provenance resolve to Confused.
+// RepsOf resolves a tag set against a tentative inlining decision with a
+// resolver of its own; see RepResolver, which callers making many queries
+// against one decision should share.
 func (r *Result) RepsOf(tags *TagSet, inlined func(FieldKey) bool) Rep {
-	res := &repResolver{result: r, inlined: inlined, memo: make(map[*Tag]Rep), active: make(map[*Tag]bool)}
+	return NewRepResolver(inlined).RepsOf(tags)
+}
+
+// RepResolver resolves tag sets against one tentative inlining decision:
+// inlined(k) reports whether field k is (still) a candidate. A tag's rep
+// is the union of the leaf contributions reachable from it through the
+// content of non-inlined fields. The leaves are NoField and never-stored
+// fields (Raw), inlined fields (Fields and Involved) and Top (Confused).
+//
+// Reps are computed per strongly connected component of the content graph
+// (content provenance has cycles, e.g. self-referential cons chains), so
+// every member of a cycle gets the whole cycle's rep — the least fixpoint
+// — and every memo entry is exact whichever tag a query reaches it from.
+// That is what lets one memo serve every query until the decision changes;
+// call Reset whenever inlined would answer differently.
+type RepResolver struct {
+	inlined func(FieldKey) bool
+	memo    map[*Tag]Rep
+
+	// Tarjan state. order numbers tags as the walk enters them; low,
+	// onStack and acc are indexed by that number, acc holding the rep
+	// gathered so far at each tag. Every tag entered by an earlier query
+	// is finished (in memo), so the numbering simply runs on until Reset.
+	order   map[*Tag]int32
+	low     []int32
+	onStack []bool
+	acc     []Rep
+	stack   []int32
+	tags    []*Tag
+	frames  []repFrame
+	// succ holds the unvisited successors of every frame, frames' ranges
+	// nested as a stack.
+	succ []*Tag
+}
+
+// repFrame is one tag on the walk's path. Its successors are succ[start:]
+// and those still to visit succ[next:]: a frame reads succ only while it
+// is the top one, when nothing lies above its successors.
+type repFrame struct {
+	v           int32 // the tag's order number
+	start, next int
+}
+
+// NewRepResolver returns a resolver for the decision inlined describes.
+func NewRepResolver(inlined func(FieldKey) bool) *RepResolver {
+	return &RepResolver{inlined: inlined, memo: make(map[*Tag]Rep), order: make(map[*Tag]int32)}
+}
+
+// Reset forgets every resolved rep; call it when the decision changes.
+func (rr *RepResolver) Reset() {
+	clear(rr.memo)
+	clear(rr.order)
+	rr.low, rr.onStack, rr.acc, rr.tags = rr.low[:0], rr.onStack[:0], rr.acc[:0], rr.tags[:0]
+}
+
+// RepsOf resolves a tag set. The result is the caller's to modify.
+func (rr *RepResolver) RepsOf(tags *TagSet) Rep {
 	var out Rep
-	for _, t := range tags.List() {
-		out.Add(res.resolve(t))
+	for t := range tags.m {
+		out.Add(rr.resolve(t))
 	}
 	return out
 }
 
-type repResolver struct {
-	result  *Result
-	inlined func(FieldKey) bool
-	memo    map[*Tag]Rep
-	active  map[*Tag]bool
-}
-
-func (rr *repResolver) resolve(t *Tag) Rep {
+// known returns t's rep without walking when t is a sentinel, already
+// resolved, or an inlined field (whose rep it memoizes).
+func (rr *RepResolver) known(t *Tag) (Rep, bool) {
 	switch {
 	case t == nil:
-		return Rep{}
+		return Rep{}, true
 	case t.IsNoField():
-		return Rep{Raw: true}
+		return Rep{Raw: true}, true
 	case t.IsTop():
-		return Rep{Confused: true}
+		return Rep{Confused: true}, true
 	}
 	if rep, ok := rr.memo[t]; ok {
+		return rep, true
+	}
+	if rr.inlined == nil {
+		return Rep{}, false
+	}
+	key := t.Head()
+	if !rr.inlined(key) {
+		return Rep{}, false
+	}
+	// The field is inlined: the value is the container's rep. The
+	// container itself is described by the base tag; its identity is what
+	// the *transformation* needs, but for representation consistency the
+	// field key suffices.
+	var rep Rep
+	rep.involve(key)
+	rep.addField(key)
+	rr.memo[t] = rep
+	return rep, true
+}
+
+// resolve returns t's rep, walking the content graph below it with an
+// iterative Tarjan (tarjanSCC's pattern), so that a long content chain
+// costs heap rather than goroutine stack.
+func (rr *RepResolver) resolve(t *Tag) Rep {
+	if rep, ok := rr.known(t); ok {
 		return rep
 	}
-	if rr.active[t] {
-		// Content provenance cycle (e.g. self-referential cons chains):
-		// the cycle itself contributes nothing; the finite entry paths
-		// into the cycle appear as sibling tags, so the least fixpoint is
-		// the empty contribution.
-		return Rep{}
-	}
-	rr.active[t] = true
-	defer delete(rr.active, t)
-
-	key := t.Head()
-	var rep Rep
-	if rr.inlined != nil && rr.inlined(key) {
-		rep.involve(key)
-		// The field is inlined: the value is the container's rep. The
-		// container itself is described by the base tag; its identity is
-		// what the *transformation* needs, but for representation
-		// consistency the field key suffices.
-		rep.addField(key)
-	} else {
-		// Not inlined: the load returns the stored reference, whose rep
-		// is the content's provenance.
-		var content *TagSet
-		if t.AC != nil {
-			content = &t.AC.Elem.Tags
-		} else if fs := t.OC.FieldState(t.Field); fs != nil {
-			content = &fs.Tags
+	rr.enter(t)
+	for len(rr.frames) > 0 {
+		f := &rr.frames[len(rr.frames)-1]
+		v := f.v
+		if f.next < len(rr.succ) {
+			u := rr.succ[f.next]
+			f.next++
+			if rep, ok := rr.known(u); ok {
+				rr.acc[v].Add(rep)
+			} else if w, seen := rr.order[u]; !seen {
+				rr.enter(u)
+			} else if rr.onStack[w] && w < rr.low[v] {
+				rr.low[v] = w
+			}
+			continue
 		}
-		if content == nil || content.Len() == 0 {
-			// Never stored (or analysis gap): reading yields nil at run
-			// time; treat as raw.
-			rep.Raw = true
-		} else {
-			for _, ct := range content.List() {
-				rep.Add(rr.resolve(ct))
+		rr.succ = rr.succ[:f.start]
+		rr.frames = rr.frames[:len(rr.frames)-1]
+		if rr.low[v] == v {
+			// v roots a component: every member gets its union.
+			rep := rr.acc[v]
+			for {
+				w := rr.stack[len(rr.stack)-1]
+				rr.stack = rr.stack[:len(rr.stack)-1]
+				rr.onStack[w] = false
+				rr.memo[rr.tags[w]] = rep
+				if w == v {
+					break
+				}
 			}
 		}
+		if len(rr.frames) == 0 {
+			break
+		}
+		p := rr.frames[len(rr.frames)-1].v
+		if rr.onStack[v] {
+			// Same component as the parent: hand it what v gathered.
+			if rr.low[v] < rr.low[p] {
+				rr.low[p] = rr.low[v]
+			}
+			rr.acc[p].Add(rr.acc[v])
+		} else {
+			rr.acc[p].Add(rr.memo[rr.tags[v]])
+		}
 	}
-	rr.memo[t] = rep
-	return rep
+	return rr.memo[t]
+}
+
+// enter numbers a non-inlined tag and pushes its frame: its successors
+// are the tags of the field's recorded content.
+func (rr *RepResolver) enter(t *Tag) {
+	v := int32(len(rr.low))
+	rr.order[t] = v
+	rr.low = append(rr.low, v)
+	rr.onStack = append(rr.onStack, true)
+	rr.acc = append(rr.acc, Rep{})
+	rr.tags = append(rr.tags, t)
+	rr.stack = append(rr.stack, v)
+	var content *TagSet
+	if t.AC != nil {
+		content = &t.AC.Elem.Tags
+	} else if fs := t.OC.FieldState(t.Field); fs != nil {
+		content = &fs.Tags
+	}
+	start := len(rr.succ)
+	if content == nil || content.Len() == 0 {
+		// Never stored (or analysis gap): reading yields nil at run time;
+		// treat as raw.
+		rr.acc[v].Raw = true
+	} else {
+		for ct := range content.m {
+			rr.succ = append(rr.succ, ct)
+		}
+	}
+	rr.frames = append(rr.frames, repFrame{v: v, start: start, next: start})
 }

@@ -449,8 +449,12 @@ func candidateContentClasses(res *analysis.Result, d *Decision) map[string][]ana
 // pruneInconsistent removes candidates until every object value's
 // representation is unambiguous, and opaque uses (builtins, mixed identity
 // comparisons, dynamic dispatch on array interiors) are rep-free.
+//
+// One resolver serves every query of the call: d.Inlined changes only when
+// remove rejects a candidate, and remove resets the resolver right then,
+// so each query sees exactly the decision it would see resolved afresh.
 func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
-	has := func(k analysis.FieldKey) bool { return d.Inlined[k] }
+	rr := newRepQuerier(func(k analysis.FieldKey) bool { return d.Inlined[k] })
 	// budgetStep flags, on confusion-based rejections, that the analysis
 	// ran out of contour budget — the split that would have kept the tags
 	// apart never happened, so the confusion may be an artifact of the
@@ -508,6 +512,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 				if d.Inlined[k] {
 					d.reject(k, because(code, reason, evidence...))
 					removedAny = true
+					rr.Reset()
 				}
 			}
 		}
@@ -516,7 +521,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 				return
 			}
 			confusedTS = &v.TS
-			rep := res.RepsOf(&v.Tags, has)
+			rep := rr.RepsOf(&v.Tags)
 			switch {
 			case rep.Confused:
 				remove(rep, &v.Tags, ReasonTagConfusion, "value with confused provenance at "+where,
@@ -561,7 +566,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 							continue
 						}
 						confusedTS = &v.TS
-						rep := res.RepsOf(&v.Tags, has)
+						rep := rr.RepsOf(&v.Tags)
 						if !rep.PureRaw() && (len(rep.Fields) > 0 || rep.Confused) {
 							remove(rep, &v.Tags, ReasonEscapesBuiltin,
 								"inlined value escapes to a builtin at "+in.Pos.String(),
@@ -579,8 +584,8 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 						return
 					}
 					confusedTS = &x.TS
-					repX := res.RepsOf(&x.Tags, has)
-					repY := res.RepsOf(&y.Tags, has)
+					repX := rr.RepsOf(&x.Tags)
+					repY := rr.RepsOf(&y.Tags)
 					if len(repX.Fields) == 0 && len(repY.Fields) == 0 {
 						return
 					}
@@ -611,7 +616,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 						return
 					}
 					confusedTS = &recv.TS
-					rep := res.RepsOf(&recv.Tags, has)
+					rep := rr.RepsOf(&recv.Tags)
 					k, ok := rep.Unique()
 					if !ok || !k.Array {
 						return
@@ -629,6 +634,19 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 			return
 		}
 	}
+}
+
+// repQuerier answers pruneInconsistent's representation queries against
+// the live decision; Reset must follow every change to it.
+type repQuerier interface {
+	RepsOf(tags *analysis.TagSet) analysis.Rep
+	Reset()
+}
+
+// newRepQuerier builds the resolver one pruneInconsistent call shares. It
+// is a variable so that tests can check every query against an oracle.
+var newRepQuerier = func(inlined func(analysis.FieldKey) bool) repQuerier {
+	return analysis.NewRepResolver(inlined)
 }
 
 func fieldNames(fields map[analysis.FieldKey]bool) string {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"objinline/internal/analysis"
@@ -230,8 +231,11 @@ func (t *transformer) resolveTag(tag *analysis.Tag, guard map[*analysis.Tag]bool
 		return &tagRes{err: errKeys("confused provenance")}
 	}
 	if guard[tag] {
-		// Least fixpoint: the cycle contributes no carriers (see
-		// analysis.RepsOf).
+		// Cut the content cycle: it contributes no carriers of its own.
+		// Unlike analysis.RepResolver, which resolves cycles exactly per
+		// strongly connected component, a memo entry made below this cut
+		// depends on the path that reached it; TestTagMemoMatchesFresh
+		// checks the shared memo against a fresh one per query.
 		return &tagRes{}
 	}
 	guard[tag] = true
@@ -333,7 +337,20 @@ func (t *transformer) repOf(mc *analysis.MethodContour, reg ir.Reg) (*regRep, *r
 	return t.repOfState(st)
 }
 
+// repOfStateCheck, when set, sees every repOfState answer; tests use it to
+// re-resolve each query with a fresh tag memo.
+var repOfStateCheck func(t *transformer, st *analysis.VarState, rep *regRep, err *rewriteErr)
+
 func (t *transformer) repOfState(st *analysis.VarState) (*regRep, *rewriteErr) {
+	rep, err := t.resolveState(st)
+	if repOfStateCheck != nil {
+		repOfStateCheck(t, st, rep, err)
+	}
+	return rep, err
+}
+
+// resolveState resolves a value's representation through tagMemo.
+func (t *transformer) resolveState(st *analysis.VarState) (*regRep, *rewriteErr) {
 	rep := &regRep{}
 	if !st.TS.HasObjects() {
 		// Arrays and primitives are always plain values; candidate array
@@ -554,28 +571,57 @@ func (t *transformer) buildPlan(mc *analysis.MethodContour) (*bodyPlan, *rewrite
 // a raw access `Leaf.f0@0` and an interior-relative access `.f0@+0` print
 // alike but address memory entirely differently, and merging their clones
 // would hand one representation's code the other's values.
+//
+// It appends with strconv rather than fmt: the signature is built for every
+// rewritten instruction of every plan, and the bytes are those of the
+// format "%d %d{ %d} f=%s.%s@%d~%v c=%s t=%d m=%s x=%d/%g/%q/%d/%d\n".
 func sigInstr(b *strings.Builder, in *ir.Instr) {
-	fmt.Fprintf(b, "%d %d", int(in.Op), in.Dst)
+	var buf [64]byte
+	s := strconv.AppendInt(buf[:0], int64(in.Op), 10)
+	s = append(s, ' ')
+	s = strconv.AppendInt(s, int64(in.Dst), 10)
 	for _, a := range in.Args {
-		fmt.Fprintf(b, " %d", a)
+		s = append(s, ' ')
+		s = strconv.AppendInt(s, int64(a), 10)
 	}
 	if f := in.Field; f != nil {
 		owner := "-"
 		if f.Owner != nil {
 			owner = f.Owner.Name
 		}
-		fmt.Fprintf(b, " f=%s.%s@%d~%v", owner, f.Name, f.Slot, f.Synthetic)
+		s = append(s, " f="...)
+		s = append(s, owner...)
+		s = append(s, '.')
+		s = append(s, f.Name...)
+		s = append(s, '@')
+		s = strconv.AppendInt(s, int64(f.Slot), 10)
+		s = append(s, '~')
+		s = strconv.AppendBool(s, f.Synthetic)
 	}
 	if in.Class != nil {
-		fmt.Fprintf(b, " c=%s", in.Class.Name)
+		s = append(s, " c="...)
+		s = append(s, in.Class.Name...)
 	}
 	if in.Callee != nil {
-		fmt.Fprintf(b, " t=%d", in.Callee.ID)
+		s = append(s, " t="...)
+		s = strconv.AppendInt(s, int64(in.Callee.ID), 10)
 	}
 	if in.Method != "" {
-		fmt.Fprintf(b, " m=%s", in.Method)
+		s = append(s, " m="...)
+		s = append(s, in.Method...)
 	}
-	fmt.Fprintf(b, " x=%d/%g/%q/%d/%d\n", in.Aux, in.F, in.S, in.Target, in.Else)
+	s = append(s, " x="...)
+	s = strconv.AppendInt(s, in.Aux, 10)
+	s = append(s, '/')
+	s = strconv.AppendFloat(s, in.F, 'g', -1, 64)
+	s = append(s, '/')
+	s = strconv.AppendQuote(s, in.S)
+	s = append(s, '/')
+	s = strconv.AppendInt(s, int64(in.Target), 10)
+	s = append(s, '/')
+	s = strconv.AppendInt(s, int64(in.Else), 10)
+	s = append(s, '\n')
+	b.Write(s)
 }
 
 // rewriteInstr translates one instruction, appending the result(s) via
