@@ -83,3 +83,36 @@ func TestFingerprintIsStable(t *testing.T) {
 		}
 	}
 }
+
+// TestSolverValidated pins the solver names the library accepts: the
+// default, worklist and sweep compile (and open sessions); any other
+// name, "parallel" included, is an error from Compile and NewSession
+// alike, so it never reaches a Fingerprint.
+func TestSolverValidated(t *testing.T) {
+	const src = "func main() { print(6 * 7); }"
+	for _, tc := range []struct {
+		solver string
+		ok     bool
+	}{
+		{"", true},
+		{objinline.SolverWorklist, true},
+		{objinline.SolverSweep, true},
+		{"parallel", false},
+		{"bogus", false},
+	} {
+		cfg := objinline.Config{Mode: objinline.Inline, Solver: tc.solver}
+		if err := objinline.ValidateSolver(tc.solver); (err == nil) != tc.ok {
+			t.Errorf("ValidateSolver(%q) = %v, want ok=%v", tc.solver, err, tc.ok)
+		}
+		_, err := objinline.Compile("x.icc", src, cfg)
+		if (err == nil) != tc.ok {
+			t.Errorf("Compile with solver %q: err = %v, want ok=%v", tc.solver, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "unknown solver") {
+			t.Errorf("Compile with solver %q: err = %v, want an unknown-solver error", tc.solver, err)
+		}
+		if _, err := objinline.NewSession("x.icc", src, cfg); (err == nil) != tc.ok {
+			t.Errorf("NewSession with solver %q: err = %v, want ok=%v", tc.solver, err, tc.ok)
+		}
+	}
+}

@@ -4,15 +4,13 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"strconv"
 
 	"objinline/internal/ir"
 	"objinline/internal/lower"
 )
 
-// Solver names for Options.Solver (see solver.go for the worklist design
-// and parallel.go for the worker-pool solver).
+// Solver names for Options.Solver (see solver.go for the worklist design).
 const (
 	// SolverWorklist is the dependency-driven worklist solver: only the
 	// contours whose inputs changed are re-evaluated. The default.
@@ -21,16 +19,6 @@ const (
 	// re-evaluated every round until nothing changes. Kept as the
 	// reference implementation for differential testing.
 	SolverSweep = "sweep"
-	// SolverParallel solves each pass on a bounded worker pool
-	// (Options.Jobs), scheduling contours by the SCC condensation of the
-	// evolving call graph. Its output is byte-identical to the other
-	// solvers at any worker count: below the lattice's saturation points
-	// every merge is an exact set union (schedule-independent), contour
-	// and tag identities are intrinsic (canonicalize in canon.go), and
-	// the order-sensitive events — tag-set saturation, MaxContours
-	// overflow — deterministically fall back to a sequential re-run of
-	// the pass.
-	SolverParallel = "parallel"
 )
 
 // Options configures an analysis run.
@@ -47,25 +35,13 @@ type Options struct {
 	MaxContours int
 	// TagDepth caps tag nesting before collapsing to Top (default 3).
 	TagDepth int
-	// Solver selects the fixpoint engine: SolverWorklist (default),
-	// SolverSweep, or SolverParallel. All compute identical results
-	// (differentially tested); the worklist does far less work than the
-	// sweep, and the parallel solver spreads the worklist's work over
-	// Jobs workers.
+	// Solver selects the fixpoint engine: SolverWorklist (default) or
+	// SolverSweep. Both compute identical results (differentially
+	// tested); the worklist does far less work than the sweep. The public
+	// API rejects any other name (objinline.ValidateSolver).
 	Solver string
-	// Jobs bounds the parallel solver's worker pool. 0 (the default)
-	// means GOMAXPROCS, resolved when the solver starts — deliberately
-	// not materialized by WithDefaults, so cache keys built from Options
-	// stay machine-independent. Jobs <= 1 runs the sequential worklist
-	// engine (the degenerate pool), which is also the fallback the
-	// parallel pass re-runs on an order-sensitivity trip. Ignored by the
-	// sequential solvers.
-	Jobs int
 	// MaxRounds bounds the per-pass fixpoint iteration (default 1000).
-	// A pass that exhausts it stops with Result.Converged == false. The
-	// parallel solver enforces it as a total-evaluation budget and falls
-	// back to the sequential engine when exceeded, reproducing the
-	// sequential solvers' non-convergence behavior exactly.
+	// A pass that exhausts it stops with Result.Converged == false.
 	MaxRounds int
 }
 
@@ -73,8 +49,6 @@ type Options struct {
 // defaults. Analyze applies it internally; callers that key caches on
 // Options should apply it too, so that an explicit default (TagDepth 3)
 // and an implicit one (TagDepth 0) memoize as the same configuration.
-// Jobs is left as-is: its default (GOMAXPROCS) is machine-dependent and
-// does not affect results, so it must not leak into cache keys.
 func (o Options) WithDefaults() Options {
 	if o.MaxPasses == 0 {
 		o.MaxPasses = 8
@@ -144,9 +118,10 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (*Resul
 		classSplit: make(map[*ir.Class]bool),
 		arrSplit:   make(map[int]bool),
 		nInstrs:    make(map[*ir.Func]int),
+		slots:      make(map[*ir.Class]map[string]int),
 	}
-	// Materialize per-function state up front so the maps are read-only
-	// while a pass runs — the parallel workers read them without locks.
+	// Materialize per-function state up front: the transfer functions
+	// read a.policies[fn] directly and rely on every entry existing.
 	forEachFunc(prog, func(fn *ir.Func) {
 		a.policy(fn)
 		a.instrCount(fn)
@@ -206,13 +181,12 @@ type analyzer struct {
 
 	// Cross-pass refinement state (monotone).
 	policies   map[*ir.Func]*fnPolicy
-	classSplit map[*ir.Class]bool // split object contours by creator
-	arrSplit   map[int]bool       // split array contours by creator, by site UID
-	nInstrs    map[*ir.Func]int   // instruction counts (immutable IR), precomputed
+	classSplit map[*ir.Class]bool           // split object contours by creator
+	arrSplit   map[int]bool                 // split array contours by creator, by site UID
+	nInstrs    map[*ir.Func]int             // instruction counts (immutable IR), precomputed
+	slots      map[*ir.Class]map[string]int // fieldSlots per class, shared by its object contours
 
-	// Per-pass state. During a parallel pass (par != nil) the contour,
-	// edge, and tag tables are guarded by par.structMu and every VarState
-	// by par's stripe locks; sequential passes touch them directly.
+	// Per-pass state.
 	tt       *tagTable
 	mcs      map[mcKey]*MethodContour
 	mcList   []*MethodContour
@@ -228,16 +202,13 @@ type analyzer struct {
 	nextOC   int
 	nextAC   int
 
-	// Sequential solver state (see solver.go).
+	// Worklist solver state (see solver.go).
 	curIdx      int    // drain cursor (contour ID), or -1 outside a scan
 	dirtyCur    []bool // by contour ID: scheduled for this round
 	dirtyNext   []bool // by contour ID: scheduled for the next round
 	pendingNext int
 	converged   bool
 	work        WorkStats
-
-	// par is the parallel pass's shared scheduler state, nil otherwise.
-	par *parState
 }
 
 type edgeKey struct {
@@ -261,7 +232,7 @@ func siteUID(fn *ir.Func, in *ir.Instr) int { return fn.ID*1_000_000 + in.ID }
 // derived from these hashes instead of creation-order IDs, so the key a
 // split produces — and therefore the partition itself — is independent of
 // the order a solver schedule happened to create contours in. See
-// canon.go for how final IDs are then assigned deterministically.
+// canon.go for how final contour IDs are then assigned.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -307,14 +278,6 @@ func (a *analyzer) instrCount(fn *ir.Func) int {
 	return n
 }
 
-// parJobs resolves the parallel worker count.
-func (a *analyzer) parJobs() int {
-	if a.opts.Jobs > 0 {
-		return a.opts.Jobs
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 func (a *analyzer) resetPass() {
 	a.tt = newTagTable(a.opts.TagDepth)
 	a.mcs = make(map[mcKey]*MethodContour)
@@ -331,7 +294,6 @@ func (a *analyzer) resetPass() {
 	a.dirtyCur, a.dirtyNext = nil, nil
 	a.pendingNext = 0
 	a.converged = true
-	a.par = nil
 }
 
 // seed creates the root contours every pass starts from.
@@ -345,23 +307,18 @@ func (a *analyzer) seed(w *worker) {
 }
 
 // runPass analyzes the whole program to a fixpoint under the current
-// contour-selection policies, then renumbers the pass's contours and tags
-// canonically (canon.go) so every solver — and every parallel schedule —
-// reports identical state.
+// contour-selection policies, then renumbers the pass's contours
+// canonically (canon.go).
 func (a *analyzer) runPass() {
 	a.resetPass()
-	if a.opts.Solver == SolverParallel && a.parJobs() > 1 {
-		a.runParallelPass()
+	w := newWorker(a)
+	a.seed(w)
+	if a.sweep {
+		a.runSweep(w)
 	} else {
-		w := newWorker(a, nil)
-		a.seed(w)
-		if a.sweep {
-			a.runSweep(w)
-		} else {
-			a.runWorklist(w)
-		}
-		a.work.add(w.work)
+		a.runWorklist(w)
 	}
+	a.work.add(w.work)
 	if a.ctxErr == nil {
 		a.canonicalize()
 	}
@@ -370,9 +327,6 @@ func (a *analyzer) runPass() {
 // getMC returns (creating if needed) the contour of fn for the given
 // context key.
 func (w *worker) getMC(fn *ir.Func, key string) *MethodContour {
-	if w.p != nil {
-		return w.getMCPar(fn, key)
-	}
 	a := w.a
 	if len(a.mcList) >= a.opts.MaxContours {
 		a.overflow = true
@@ -415,9 +369,7 @@ func (w *worker) getMC(fn *ir.Func, key string) *MethodContour {
 // changed, guaranteeing every site a post-transition visit. Re-dirtying
 // replays exactly those visits (ahead-of-cursor sites this round, the
 // rest next round, per enqueue's routing), keeping the two solvers
-// bit-identical through the overflow transition. The parallel solver
-// never gets here: its getMCPar trips the pass to the sequential engine
-// at the same count threshold.
+// bit-identical through the overflow transition.
 func (w *worker) redirtyCallSites() {
 	for _, mc := range w.a.mcList {
 		sched := false
@@ -452,20 +404,6 @@ func (w *worker) getOC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ObjContour
 		key = "c" + hashKeyStr(mc.ctxHash)
 	}
 	id := allocKey{siteUID(fn, in), creator}
-	if p := w.p; p != nil {
-		p.structMu.RLock()
-		oc := a.ocs[id]
-		p.structMu.RUnlock()
-		if oc != nil {
-			return oc
-		}
-		p.structMu.Lock()
-		defer p.structMu.Unlock()
-		if oc := a.ocs[id]; oc != nil {
-			return oc
-		}
-		return a.newOC(id, fn, in, key)
-	}
 	if oc, ok := a.ocs[id]; ok {
 		return oc
 	}
@@ -474,9 +412,15 @@ func (w *worker) getOC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ObjContour
 }
 
 func (a *analyzer) newOC(id allocKey, fn *ir.Func, in *ir.Instr, key string) *ObjContour {
+	slots, ok := a.slots[in.Class]
+	if !ok {
+		slots = fieldSlots(in.Class)
+		a.slots[in.Class] = slots
+	}
 	oc := &ObjContour{
 		ID: a.nextOC, Class: in.Class, Site: in, SiteFn: fn, Key: key,
 		Fields:  make([]VarState, in.Class.NumSlots()),
+		slots:   slots,
 		ctxHash: hashStr(hashU64(hashSeed(1), uint64(siteUID(fn, in))), key),
 	}
 	a.nextOC++
@@ -494,20 +438,6 @@ func (w *worker) getAC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ArrContour
 		key = "c" + hashKeyStr(mc.ctxHash)
 	}
 	id := allocKey{siteUID(fn, in), creator}
-	if p := w.p; p != nil {
-		p.structMu.RLock()
-		ac := a.acs[id]
-		p.structMu.RUnlock()
-		if ac != nil {
-			return ac
-		}
-		p.structMu.Lock()
-		defer p.structMu.Unlock()
-		if ac := a.acs[id]; ac != nil {
-			return ac
-		}
-		return a.newAC(id, fn, in, key)
-	}
 	if ac, ok := a.acs[id]; ok {
 		return ac
 	}
@@ -565,9 +495,7 @@ func computeSiteKey(fnID int, callerKey string, instrID int) string {
 // re-runs whole (subsuming its partial slots), an instruction dirty only
 // in a data slot gets the matching partial re-merge, and a clean
 // instruction is skipped. Skipped work has unchanged inputs, so skipping
-// it is a no-op (see solver.go). The parallel solver's variant is
-// evalContourPar in parallel.go, which guards the dirty bitmap with the
-// contour's scheduling lock.
+// it is a no-op (see solver.go).
 func (w *worker) evalContour(mc *MethodContour) {
 	w.cur = mc
 	w.work.ContourEvals++
@@ -626,7 +554,7 @@ func (w *worker) evalArgs(mc *MethodContour, in *ir.Instr) {
 	case ir.OpGetField:
 		base := mc.Reg(in.Args[0]) // registered slotFull by the full eval
 		dst := mc.Reg(in.Dst)
-		for _, oc := range w.objList(base) {
+		for _, oc := range base.TS.ObjList() {
 			fs := oc.FieldState(in.Field.Name)
 			if fs == nil {
 				continue
@@ -637,7 +565,7 @@ func (w *worker) evalArgs(mc *MethodContour, in *ir.Instr) {
 	case ir.OpArrGet:
 		base := mc.Reg(in.Args[0])
 		dst := mc.Reg(in.Dst)
-		for _, ac := range w.arrList(base) {
+		for _, ac := range base.TS.ArrList() {
 			w.useArg(&ac.Elem)
 			w.unionTS(dst, &ac.Elem)
 		}
@@ -653,7 +581,7 @@ func (w *worker) evalArgs(mc *MethodContour, in *ir.Instr) {
 			for i := start; i < len(in.Args); i++ {
 				src := w.useArg(mc.Reg(in.Args[i]))
 				w.merge(cmc.Reg(cmc.Fn.ParamReg(i-start)), src)
-				w.mergeEdgeArg(e, i, src)
+				e.Args[i].Merge(src)
 			}
 		}
 	}
@@ -672,7 +600,6 @@ func (w *worker) evalRet(mc *MethodContour, in *ir.Instr) {
 	}
 	dst := mc.Reg(in.Dst)
 	for _, cmc := range mc.calleeOrder[in.ID] {
-		w.noteSummaryRead(cmc)
 		w.merge(dst, w.useRet(&cmc.Ret))
 	}
 }
@@ -704,7 +631,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 		if ir.UnOp(in.Aux) == ir.UnNot {
 			w.addPrim(reg(in.Dst), PBool)
 		} else {
-			w.addPrim(reg(in.Dst), w.prims(x)&(PInt|PFloat))
+			w.addPrim(reg(in.Dst), x.TS.Prims&(PInt|PFloat))
 		}
 	case ir.OpNewObject:
 		oc := w.getOC(fn, in, mc)
@@ -727,7 +654,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	case ir.OpGetField:
 		base := use(in.Args[0])
 		dst := reg(in.Dst)
-		for _, oc := range w.objList(base) {
+		for _, oc := range base.TS.ObjList() {
 			fs := oc.FieldState(in.Field.Name)
 			if fs == nil {
 				continue
@@ -741,7 +668,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 			// each split object contour.
 			w.unionTS(dst, fs)
 			if a.opts.Tags {
-				for _, t := range w.tagList(base) {
+				for _, t := range base.Tags.List() {
 					w.addTag(dst, a.tt.makeObj(oc, in.Field.Name, t))
 				}
 			}
@@ -749,7 +676,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	case ir.OpSetField:
 		base := use(in.Args[0])
 		val := use(in.Args[1])
-		for _, oc := range w.objList(base) {
+		for _, oc := range base.TS.ObjList() {
 			fs := oc.FieldState(in.Field.Name)
 			if fs == nil {
 				continue
@@ -759,11 +686,11 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	case ir.OpArrGet:
 		base := use(in.Args[0])
 		dst := reg(in.Dst)
-		for _, ac := range w.arrList(base) {
+		for _, ac := range base.TS.ArrList() {
 			w.useArg(&ac.Elem)
 			w.unionTS(dst, &ac.Elem)
 			if a.opts.Tags {
-				for _, t := range w.tagList(base) {
+				for _, t := range base.Tags.List() {
 					w.addTag(dst, a.tt.makeArr(ac, t))
 				}
 			}
@@ -771,7 +698,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	case ir.OpArrSet:
 		base := use(in.Args[0])
 		val := use(in.Args[2])
-		for _, ac := range w.arrList(base) {
+		for _, ac := range base.TS.ArrList() {
 			w.merge(&ac.Elem, val)
 		}
 	case ir.OpCall:
@@ -813,7 +740,7 @@ func (w *worker) evalBin(mc *MethodContour, in *ir.Instr) {
 	case ir.BinEq, ir.BinNe, ir.BinLt, ir.BinLe, ir.BinGt, ir.BinGe:
 		w.addPrim(dst, PBool)
 	default:
-		xp, yp := w.prims(x), w.prims(y)
+		xp, yp := x.TS.Prims, y.TS.Prims
 		var m PrimMask
 		if xp&PInt != 0 && yp&PInt != 0 {
 			m |= PInt
@@ -840,9 +767,9 @@ func (w *worker) evalBuiltin(mc *MethodContour, in *ir.Instr) {
 	case ir.BStrCat:
 		w.addPrim(dst, PStr)
 	case ir.BAbs:
-		w.addPrim(dst, w.prims(w.use(mc.Reg(in.Args[0])))&(PInt|PFloat))
+		w.addPrim(dst, w.use(mc.Reg(in.Args[0])).TS.Prims&(PInt|PFloat))
 	case ir.BMin, ir.BMax:
-		m := (w.prims(w.use(mc.Reg(in.Args[0]))) | w.prims(w.use(mc.Reg(in.Args[1])))) & (PInt | PFloat)
+		m := (w.use(mc.Reg(in.Args[0])).TS.Prims | w.use(mc.Reg(in.Args[1])).TS.Prims) & (PInt | PFloat)
 		w.addPrim(dst, m)
 	}
 }
@@ -857,9 +784,7 @@ func (w *worker) bindTopLevel(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	}
 	cmc := w.getMC(callee, key)
 	if mc.addCallee(in.ID, cmc) {
-		if w.p == nil {
-			a.changed = true
-		}
+		a.changed = true
 	}
 	if !a.sweep {
 		mc.noteCallee(in.ID, cmc)
@@ -868,10 +793,9 @@ func (w *worker) bindTopLevel(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	for i, r := range in.Args {
 		src := w.useArg(mc.Reg(r))
 		w.merge(cmc.Reg(callee.ParamReg(i)), src)
-		w.mergeEdgeArg(e, i, src)
+		e.Args[i].Merge(src)
 	}
 	if in.Dst != ir.NoReg {
-		w.noteSummaryRead(cmc)
 		w.merge(mc.Reg(in.Dst), w.useRet(&cmc.Ret))
 	}
 }
@@ -884,7 +808,7 @@ func (w *worker) bindTopLevel(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 func (w *worker) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, fixed *ir.Func) {
 	a := w.a
 	recv := w.use(mc.Reg(in.Args[0]))
-	for _, oc := range w.objList(recv) {
+	for _, oc := range recv.TS.ObjList() {
 		target := fixed
 		if target == nil {
 			target = oc.Class.LookupMethod(in.Method)
@@ -904,8 +828,8 @@ func (w *worker) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, 
 		if pol.splitByRecvOC {
 			baseKey += "|o" + hashKeyStr(oc.ctxHash)
 		}
-		if pol.splitByRecvTag && a.opts.Tags && w.tagsLen(recv) > 0 {
-			for _, t := range w.tagList(recv) {
+		if pol.splitByRecvTag && a.opts.Tags && recv.Tags.Len() > 0 {
+			for _, t := range recv.Tags.List() {
 				key := baseKey + "|t" + hashKeyStr(t.uid)
 				self := VarState{}
 				self.TS.AddObj(oc)
@@ -916,7 +840,7 @@ func (w *worker) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, 
 		}
 		self := VarState{}
 		self.TS.AddObj(oc)
-		for _, t := range w.tagList(recv) {
+		for _, t := range recv.Tags.List() {
 			self.Tags.Add(t)
 		}
 		w.bindMethod(mc, in, target, baseKey, &self)
@@ -927,23 +851,20 @@ func (w *worker) bindMethod(mc *MethodContour, in *ir.Instr, target *ir.Func, ke
 	a := w.a
 	cmc := w.getMC(target, key)
 	if mc.addCallee(in.ID, cmc) {
-		if w.p == nil {
-			a.changed = true
-		}
+		a.changed = true
 	}
 	if !a.sweep {
 		mc.noteCallee(in.ID, cmc)
 	}
 	e := w.edge(mc, in, cmc)
-	w.mergeLocal(cmc.Reg(0), self)
-	w.mergeEdgeArgLocal(e, 0, self)
+	w.merge(cmc.Reg(0), self)
+	e.Args[0].Merge(self)
 	for i := 1; i < len(in.Args); i++ {
 		src := w.useArg(mc.Reg(in.Args[i]))
 		w.merge(cmc.Reg(target.ParamReg(i-1)), src)
-		w.mergeEdgeArg(e, i, src)
+		e.Args[i].Merge(src)
 	}
 	if in.Dst != ir.NoReg {
-		w.noteSummaryRead(cmc)
 		w.merge(mc.Reg(in.Dst), w.useRet(&cmc.Ret))
 	}
 }
@@ -951,33 +872,10 @@ func (w *worker) bindMethod(mc *MethodContour, in *ir.Instr, target *ir.Func, ke
 func (w *worker) edge(from *MethodContour, in *ir.Instr, to *MethodContour) *Edge {
 	a := w.a
 	k := edgeKey{from: from, instr: in.ID, to: to}
-	if p := w.p; p != nil {
-		p.structMu.RLock()
-		e := a.edges[k]
-		p.structMu.RUnlock()
-		if e != nil {
-			return e
-		}
-		p.structMu.Lock()
-		if e := a.edges[k]; e != nil {
-			p.structMu.Unlock()
-			return e
-		}
-		e = newEdge(a, k, in, to)
-		p.structMu.Unlock()
-		// A new call edge refines the call graph; feed the SCC
-		// condensation that schedules downstream work.
-		p.recordEdge(int32(from.ID), int32(to.ID))
-		return e
-	}
 	if e, ok := a.edges[k]; ok {
 		return e
 	}
-	return newEdge(a, k, in, to)
-}
-
-func newEdge(a *analyzer, k edgeKey, in *ir.Instr, to *MethodContour) *Edge {
-	e := &Edge{From: k.from, Instr: in, To: to, Args: make([]VarState, len(in.Args))}
+	e := &Edge{From: from, Instr: in, To: to, Args: make([]VarState, len(in.Args))}
 	a.edges[k] = e
 	to.InEdges = append(to.InEdges, e)
 	return e

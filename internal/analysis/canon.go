@@ -2,38 +2,24 @@ package analysis
 
 import "sort"
 
-// canonicalize renumbers the pass's contours and tags from
-// schedule-independent sort keys, and sorts every contour's in-edge list.
-// It runs at the end of every pass, for every solver, before
+// canonicalize renumbers the pass's method, object and array contours
+// from their sort keys. It runs at the end of every pass, before
 // updatePolicies reads the pass's state.
 //
-// Why it exists: the parallel solver creates contours and interns tags in
-// whatever order its schedule happens to run, so creation-order IDs would
-// differ run to run (and from the sequential solvers) even though the
-// *set* of contours and their states are identical. Every contour and tag
-// therefore carries an intrinsic identity — the context key it was
-// requested under, hashed with its function or site (ctxHash, Tag.uid) —
-// and IDs are assigned here by sorting on those identities:
+// It is needed because clone emission follows contour IDs: clone.Partition
+// orders each group's members by ID, and the emitted class and method
+// versions follow. Left in creation order, richards' emitted IR and its
+// modeled cycle count change, so IDs are assigned here by sorting on keys
+// that do not depend on when a contour was created:
 //
 //   - method contours by (function ID, context key). Unique: the contour
 //     table is keyed by exactly that pair.
 //   - object and array contours by (allocation site UID, context key).
-//   - tags by their rendered path (String() after contour renumbering, so
-//     the rendering uses canonical contour IDs). The rendering walks the
-//     full (holder contour, field, base) chain, so it is injective over
-//     interned tags; the NoField/Top sentinels keep their fixed IDs 0/1.
-//   - each contour's InEdges by (caller contour ID, call instruction ID),
-//     unique because the edge table is keyed by caller/instruction/callee.
 //
-// The sequential solvers get renumbered too — identical schedules yield
-// identical creation orders, so for them this is a pure relabeling — which
-// keeps all three solvers byte-identical in every ID-bearing report.
-//
-// Everything downstream of a pass reads canonical IDs: updatePolicies'
-// class and tag signatures, TagSet.List (sorted by ID), the Result dump,
-// and the clone partition. The per-pass lookup tables (mcs/ocs/acs, whose
-// creator-split alloc keys embed in-pass creation IDs) are never read
-// after the pass ends and are rebuilt by resetPass.
+// Tags keep their creation-order IDs: both solvers intern them in the
+// same order. The per-pass lookup tables (mcs/ocs/acs, whose creator-split
+// alloc keys embed in-pass creation IDs) are never read after the pass
+// ends and are rebuilt by resetPass.
 func (a *analyzer) canonicalize() {
 	sort.Slice(a.mcList, func(i, j int) bool {
 		x, y := a.mcList[i], a.mcList[j]
@@ -68,25 +54,5 @@ func (a *analyzer) canonicalize() {
 	})
 	for i, ac := range a.acList {
 		ac.ID = i
-	}
-
-	// Tags, after contours so String() renders canonical contour IDs.
-	tags := make([]*Tag, 0, len(a.tt.byKey))
-	for _, t := range a.tt.byKey {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i].String() < tags[j].String() })
-	for i, t := range tags {
-		t.ID = i + 2 // 0 and 1 are the NoField/Top sentinels
-	}
-
-	for _, mc := range a.mcList {
-		sort.Slice(mc.InEdges, func(i, j int) bool {
-			x, y := mc.InEdges[i], mc.InEdges[j]
-			if x.From.ID != y.From.ID {
-				return x.From.ID < y.From.ID
-			}
-			return x.Instr.ID < y.Instr.ID
-		})
 	}
 }

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"objinline/internal/ir"
 )
@@ -51,41 +49,19 @@ type MethodContour struct {
 	// Callees set so their merges replay in the full evaluation's exact
 	// order — tag sets saturate order-sensitively (see TagSet.Add), so
 	// matching the order is what keeps the worklist bit-identical to the
-	// sweep. Maintained by the worklist and parallel solvers.
+	// sweep. Maintained by the worklist solver.
 	calleeOrder map[int][]*MethodContour
 
 	// ctxHash is the contour's intrinsic identity hash: the function ID
 	// chained with the context key. Unlike the creation-order ID, it is
 	// the same under any evaluation schedule, so derived contour keys
 	// (the "c..." component of creator-split allocations) never leak
-	// scheduling order into the partition. canonicalize() renumbers IDs
-	// at the end of every pass from schedule-independent sort keys.
+	// scheduling order into the partition.
 	ctxHash uint64
 
-	// siteKeyMemo memoizes this contour's per-call-site context keys;
-	// only this contour's evaluator touches it, so it needs no lock even
-	// in a parallel pass.
+	// siteKeyMemo memoizes this contour's per-call-site context keys.
 	siteKeyMemo map[int]string
-
-	// Parallel-solver scheduling state (see parallel.go). pmu guards the
-	// dirty bitmap and the pstate transitions; pstate is additionally
-	// readable via atomic load (pstate == 0 means quiescent — the
-	// contour's cells are, at this instant, a published summary). rank is
-	// the scheduling priority from the latest SCC condensation; prio is
-	// the priority captured when the contour was pushed on the run queue,
-	// owned by the queue lock.
-	pmu    sync.Mutex
-	pstate atomic.Int32
-	rank   atomic.Int32
-	prio   int64
 }
-
-// Parallel scheduling state bits (MethodContour.pstate).
-const (
-	pQueued  = 1 << iota // on the run queue
-	pRunning             // being evaluated by a worker
-	pRerun               // changed while running; re-queue at finish
-)
 
 // resetCalleeOrder clears a site's enumeration-order list (keeping its
 // capacity) before a full evaluation rebuilds it.
@@ -170,6 +146,11 @@ type ObjContour struct {
 	// Fields holds the abstract state of each slot of Class.
 	Fields []VarState
 
+	// slots maps a field name to its slot in Fields. It is built once per
+	// class per analysis (fieldSlots) and shared by every contour of the
+	// class, so a field access costs one map lookup, not a layout scan.
+	slots map[string]int
+
 	// ctxHash is the intrinsic identity hash (site plus key); see
 	// MethodContour.ctxHash.
 	ctxHash uint64
@@ -182,12 +163,23 @@ func (oc *ObjContour) String() string {
 // FieldState returns the state cell for the named field, or nil if the
 // class has no such field.
 func (oc *ObjContour) FieldState(name string) *VarState {
-	for _, f := range oc.Class.Fields {
-		if f.Name == name {
-			return &oc.Fields[f.Slot]
-		}
+	if slot, ok := oc.slots[name]; ok {
+		return &oc.Fields[slot]
 	}
 	return nil
+}
+
+// fieldSlots maps each field name of c's layout to its slot. A name a
+// subclass redeclares keeps its first (inherited) slot, the one a scan of
+// the layout finds first.
+func fieldSlots(c *ir.Class) map[string]int {
+	m := make(map[string]int, len(c.Fields))
+	for _, f := range c.Fields {
+		if _, ok := m[f.Name]; !ok {
+			m[f.Name] = f.Slot
+		}
+	}
+	return m
 }
 
 // ArrContour represents the arrays allocated by one "new [n]" statement

@@ -165,7 +165,7 @@ func (rr *RepResolver) known(t *Tag) (Rep, bool) {
 }
 
 // resolve returns t's rep, walking the content graph below it with an
-// iterative Tarjan (tarjanSCC's pattern), so that a long content chain
+// iterative Tarjan, so that a long content chain
 // costs heap rather than goroutine stack.
 func (rr *RepResolver) resolve(t *Tag) Rep {
 	if rep, ok := rr.known(t); ok {

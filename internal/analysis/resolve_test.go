@@ -23,7 +23,7 @@ func newContentGraph(names ...string) *contentGraph {
 		class.Fields = append(class.Fields, &ir.Field{Name: n, Slot: i, Owner: class})
 	}
 	g := &contentGraph{class: class, tags: make(map[string]*Tag)}
-	g.oc = &ObjContour{ID: 1, Class: class, Fields: make([]VarState, len(names))}
+	g.oc = &ObjContour{ID: 1, Class: class, Fields: make([]VarState, len(names)), slots: fieldSlots(class)}
 	for i, n := range names {
 		g.tags[n] = &Tag{ID: 2 + i, OC: g.oc, Field: n, owner: class}
 	}
@@ -220,8 +220,9 @@ func TestRepResolverLongChain(t *testing.T) {
 	class := &ir.Class{Name: "Cell"}
 	class.Fields = []*ir.Field{{Name: "next", Owner: class}}
 	tags := make([]*Tag, n)
+	slots := fieldSlots(class)
 	for i := range tags {
-		oc := &ObjContour{ID: i, Class: class, Fields: make([]VarState, 1)}
+		oc := &ObjContour{ID: i, Class: class, Fields: make([]VarState, 1), slots: slots}
 		tags[i] = &Tag{ID: 2 + i, OC: oc, Field: "next", owner: class}
 	}
 	for i, tag := range tags {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"objinline/internal/ir"
 )
@@ -37,8 +36,7 @@ type Tag struct {
 	// contour's identity hash, the field name, and the base tag's uid. It
 	// never depends on creation order, so contour keys derived from it
 	// (the "|t" component in bindReceiverCall) are identical under any
-	// evaluation schedule; canonicalize() renumbers IDs from it at the end
-	// of every pass.
+	// evaluation schedule.
 	uid uint64
 }
 
@@ -153,10 +151,6 @@ type tagTable struct {
 	next    int
 	maxDep  int
 	owners  map[*ir.Class]map[string]*ir.Class // declaringClass's memo
-
-	// mu guards byKey and next during a parallel pass (nil for the
-	// sequential solvers, where interning is single-threaded).
-	mu *sync.RWMutex
 }
 
 type tagKey struct {
@@ -213,27 +207,9 @@ func (tt *tagTable) make(k tagKey) *Tag {
 		k.base = tt.top
 		depth = tt.maxDep
 	}
-	if tt.mu != nil {
-		tt.mu.RLock()
-		t, ok := tt.byKey[k]
-		tt.mu.RUnlock()
-		if ok {
-			return t
-		}
-		tt.mu.Lock()
-		defer tt.mu.Unlock()
-		if t, ok := tt.byKey[k]; ok {
-			return t
-		}
-		return tt.insert(k, depth)
-	}
 	if t, ok := tt.byKey[k]; ok {
 		return t
 	}
-	return tt.insert(k, depth)
-}
-
-func (tt *tagTable) insert(k tagKey, depth int) *Tag {
 	holder := uint64(0)
 	if k.oc != nil {
 		holder = k.oc.ctxHash

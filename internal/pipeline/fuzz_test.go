@@ -39,11 +39,6 @@ func TestDifferentialFuzz(t *testing.T) {
 				// against "inline" below).
 				{"inline-sweep", pipeline.Config{Mode: pipeline.ModeInline,
 					Analysis: analysis.Options{Solver: analysis.SolverSweep}}},
-				// The parallel worker-pool solver at an oversubscribed worker
-				// count: must execute identically AND analyze identically to
-				// the worklist (checked against "inline" below).
-				{"inline-par-solver", pipeline.Config{Mode: pipeline.ModeInline,
-					Analysis: analysis.Options{Solver: analysis.SolverParallel, Jobs: 4}}},
 			}
 			outputs := map[string]string{}
 			compiled := map[string]*pipeline.Compiled{}
@@ -62,9 +57,6 @@ func TestDifferentialFuzz(t *testing.T) {
 			if dw, ds := compiled["inline"].Analysis.String(), compiled["inline-sweep"].Analysis.String(); dw != ds {
 				t.Errorf("worklist and sweep analyses differ\nprogram:\n%s\nworklist:\n%s\nsweep:\n%s", src, dw, ds)
 			}
-			if dw, dp := compiled["inline"].Analysis.String(), compiled["inline-par-solver"].Analysis.String(); dw != dp {
-				t.Errorf("worklist and parallel analyses differ\nprogram:\n%s\nworklist:\n%s\nparallel:\n%s", src, dw, dp)
-			}
 			// The MaxContours-overflow regime, where getMC coerces split
 			// keys to base contours (the worklist must globally re-dirty
 			// call sites at the transition; see analysis.redirtyCallSites).
@@ -81,17 +73,6 @@ func TestDifferentialFuzz(t *testing.T) {
 				analysis.Options{Tags: true, MaxContours: 17, Solver: analysis.SolverSweep})
 			if dw, ds := ovW.String(), ovS.String(); dw != ds {
 				t.Errorf("worklist and sweep analyses differ under contour overflow\nprogram:\n%s\nworklist:\n%s\nsweep:\n%s", src, dw, ds)
-			}
-			// The parallel solver's overflow trip (count-triggered fallback to
-			// the sequential worklist) must land on the same dump.
-			ovPProg, err := pipeline.Compile("fuzz.icc", src, pipeline.Config{Mode: pipeline.ModeDirect})
-			if err != nil {
-				t.Fatalf("overflow compile: %v", err)
-			}
-			ovP := analysis.Analyze(ovPProg.Source,
-				analysis.Options{Tags: true, MaxContours: 17, Solver: analysis.SolverParallel, Jobs: 4})
-			if dw, dp := ovW.String(), ovP.String(); dw != dp {
-				t.Errorf("worklist and parallel analyses differ under contour overflow\nprogram:\n%s\nworklist:\n%s\nparallel:\n%s", src, dw, dp)
 			}
 			for _, c := range configs[1:] {
 				if outputs[c.name] != outputs["direct"] {
@@ -178,10 +159,9 @@ func mutate(r *rand.Rand, src string, step int) (edited, wantTier string) {
 // sequences over generated programs, where after every patch the
 // session's result must be byte-identical — optimized IR, analysis dump,
 // decisions, and run output — to a cold compile of the same source. The
-// configs sweep all three solvers (parallel at 1 and 4 workers) plus the
-// contour-overflow regime, where cold compilation itself may
-// deterministically fail; then the session must fail identically and
-// keep serving.
+// configs sweep both solvers plus the contour-overflow regime, where
+// cold compilation itself may deterministically fail; then the session
+// must fail identically and keep serving.
 func TestIncrementalEditFuzz(t *testing.T) {
 	configs := []struct {
 		name    string
@@ -191,10 +171,6 @@ func TestIncrementalEditFuzz(t *testing.T) {
 		{"worklist", pipeline.Config{Mode: pipeline.ModeInline}, false},
 		{"sweep", pipeline.Config{Mode: pipeline.ModeInline,
 			Analysis: analysis.Options{Solver: analysis.SolverSweep}}, false},
-		{"par-1", pipeline.Config{Mode: pipeline.ModeInline,
-			Analysis: analysis.Options{Solver: analysis.SolverParallel, Jobs: 1}}, false},
-		{"par-4", pipeline.Config{Mode: pipeline.ModeInline,
-			Analysis: analysis.Options{Solver: analysis.SolverParallel, Jobs: 4}}, false},
 		{"starved", pipeline.Config{Mode: pipeline.ModeInline,
 			Analysis: analysis.Options{MaxContours: 17}}, true},
 	}

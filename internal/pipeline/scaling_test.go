@@ -1,7 +1,7 @@
 package pipeline_test
 
-// Per-phase scaling: every non-analysis compile phase must cost time
-// linear in the size of its input. Each stress shape below is compiled at
+// Per-phase scaling: every compile phase must cost time linear in the
+// size of its input. Each stress shape below is compiled at
 // size n and 16n, and the ratio of the two per-phase times is held under
 // 16^1.3 ≈ 37. A linear phase reads about 16 and a quadratic one about
 // 256, so the bound separates the two with room for a shared host's busy
@@ -26,9 +26,9 @@ package pipeline_test
 // depend on the runtime's heap goal rather than on the compiler. A large
 // compile allocates at most about 100 MB.
 //
-// The analysis phase is not held to the bound: on the wide shape its cost
-// is dominated by the canonical renumbering of tags (analysis/canon.go's
-// Tag.String), which exists only for the parallel solver and goes with it.
+// The analysis phase is held to the same bound. On the wide shape each
+// field access costs one map lookup (ObjContour.FieldState), not a scan
+// of the class's field list, which would make it quadratic.
 
 import (
 	"fmt"
@@ -60,7 +60,7 @@ var scalingShapes = []scalingShape{
 }
 
 // scalingPhases are the phases held to the linear bound.
-var scalingPhases = []trace.Phase{trace.PhaseLower, trace.PhaseOptimize, trace.PhasePeephole}
+var scalingPhases = []trace.Phase{trace.PhaseLower, trace.PhaseAnalysis, trace.PhaseOptimize, trace.PhasePeephole}
 
 const (
 	scaleFactor = 16

@@ -54,15 +54,6 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, req *api.Compil
 		p.filename = "request.icc"
 	}
 	p.source = req.Source
-	// Clamp per-request analysis parallelism to the server's bound (jobs=0
-	// means "as many as allowed"). Jobs never changes compilation results,
-	// so the clamp only shapes CPU use — and the cache key excludes Jobs
-	// entirely, so clamped and unclamped requests share entries.
-	if cfg.Solver == objinline.SolverParallel {
-		if cfg.Jobs <= 0 || cfg.Jobs > s.cfg.AnalysisJobs {
-			cfg.Jobs = s.cfg.AnalysisJobs
-		}
-	}
 	p.cfg = cfg
 	p.key = cacheKey(cfg, p.filename, p.source)
 

@@ -590,52 +590,60 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	}
 }
 
-// TestParallelSolverJobsClamp checks the per-request analysis-parallelism
-// bound: a parallel-solver request succeeds whatever jobs value it names,
-// the server clamps oversized (and zero) values to AnalysisJobs, and —
-// because worker count never changes results — every jobs value maps to
-// the same cache key, so a clamped request warms the cache for all of
-// them.
-func TestParallelSolverJobsClamp(t *testing.T) {
-	_, ts := newTestServer(t, Config{AnalysisJobs: 2})
+// TestSolverValidated checks that /v1/compile and /v1/session accept
+// only the library's solver names. An unknown name is a 400 bad_request
+// answered before a cache key is built, so client strings cannot split
+// the cache. On /v1/compile the default ("") and "worklist" share one
+// key, and "sweep" gets its own: its work counters are observable in
+// stats.
+func TestSolverValidated(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
 	src := fixtureSource(t)
-	req := func(jobs int) api.CompileRequest {
-		return api.CompileRequest{
-			Filename: "explain.icc",
-			Source:   src,
-			Config:   api.Config{Solver: objinline.SolverParallel, Jobs: jobs},
+	for _, route := range []string{"/v1/compile", "/v1/session"} {
+		keys := map[string]string{}
+		for _, tc := range []struct {
+			solver string
+			ok     bool
+		}{
+			{"", true},
+			{objinline.SolverWorklist, true},
+			{objinline.SolverSweep, true},
+			{"parallel", false},
+			{"bogus", false},
+		} {
+			resp, body := postJSON(t, ts, route, api.CompileRequest{
+				Filename: "explain.icc", Source: src, Config: api.Config{Solver: tc.solver},
+			})
+			key := resp.Header.Get("X-Oicd-Cache-Key")
+			if tc.ok {
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s solver %q: status %d: %s", route, tc.solver, resp.StatusCode, body)
+				}
+				keys[tc.solver] = key
+				continue
+			}
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s solver %q: status %d, want 400: %s", route, tc.solver, resp.StatusCode, body)
+			}
+			var env api.Envelope
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatalf("%s solver %q: %v", route, tc.solver, err)
+			}
+			if env.Error == nil || env.Error.Code != api.CodeBadRequest {
+				t.Errorf("%s solver %q: error = %+v, want %s", route, tc.solver, env.Error, api.CodeBadRequest)
+			}
+			if key != "" {
+				t.Errorf("%s solver %q: rejected request got cache key %q", route, tc.solver, key)
+			}
 		}
-	}
-	var keys []string
-	var bodies [][]byte
-	for i, jobs := range []int{0, 64, 1, 2} {
-		resp, body := postJSON(t, ts, "/v1/compile", req(jobs))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("jobs=%d: status %d: %s", jobs, resp.StatusCode, body)
+		if route != "/v1/compile" {
+			continue // sessions are not cached by key
 		}
-		keys = append(keys, resp.Header.Get("X-Oicd-Cache-Key"))
-		bodies = append(bodies, body)
-		wantCache := "hit"
-		if i == 0 {
-			wantCache = "miss"
+		if keys[""] != keys[objinline.SolverWorklist] {
+			t.Errorf("default and worklist keys differ: %q vs %q", keys[""], keys[objinline.SolverWorklist])
 		}
-		if c := resp.Header.Get("X-Oicd-Cache"); c != wantCache {
-			t.Errorf("jobs=%d: cache %q, want %q (jobs must not fragment the cache)", jobs, c, wantCache)
+		if keys[objinline.SolverSweep] == keys[objinline.SolverWorklist] {
+			t.Errorf("sweep and worklist share cache key %q", keys[objinline.SolverSweep])
 		}
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] != keys[0] {
-			t.Errorf("cache keys differ across jobs values: %q vs %q", keys[0], keys[i])
-		}
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Errorf("response bodies differ across jobs values")
-		}
-	}
-
-	// The solver itself is part of the key (its work counters are
-	// observable in stats), so worklist and parallel must not share.
-	wl, _ := postJSON(t, ts, "/v1/compile", api.CompileRequest{Filename: "explain.icc", Source: src})
-	if k := wl.Header.Get("X-Oicd-Cache-Key"); k == keys[0] {
-		t.Errorf("worklist and parallel requests share cache key %q", k)
 	}
 }

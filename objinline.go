@@ -153,11 +153,19 @@ const (
 	// SolverSweep is the naive global re-sweep, kept as the reference
 	// implementation; it computes identical results.
 	SolverSweep = analysis.SolverSweep
-	// SolverParallel solves the analysis on a bounded worker pool
-	// (Config.Jobs), scheduling contours by the SCC condensation of the
-	// call graph. Byte-identical results at any worker count.
-	SolverParallel = analysis.SolverParallel
 )
+
+// ValidateSolver reports an error unless name selects a solver: ""
+// (the default worklist), SolverWorklist or SolverSweep. Compile and
+// NewSession apply it, and oicd applies it while decoding a request,
+// before the name can reach a cache key.
+func ValidateSolver(name string) error {
+	switch name {
+	case "", SolverWorklist, SolverSweep:
+		return nil
+	}
+	return fmt.Errorf("objinline: unknown solver %q (want %s or %s)", name, SolverWorklist, SolverSweep)
+}
 
 // Config configures compilation.
 type Config struct {
@@ -171,18 +179,13 @@ type Config struct {
 	// MaxPasses bounds the analysis's iterative refinement (default 8).
 	MaxPasses int
 	// Solver selects the analysis fixpoint engine: SolverWorklist
-	// (default), SolverSweep, or SolverParallel.
+	// (default) or SolverSweep; see ValidateSolver.
 	Solver string
-	// Jobs bounds the parallel solver's worker pool (0 = GOMAXPROCS;
-	// ignored by the sequential solvers). Jobs never changes compilation
-	// output — the parallel solver is byte-identical at any worker count —
-	// so it is deliberately not part of Fingerprint.
-	Jobs int
 	// Engine is the default execution tier for the compiled program's
 	// runs (EngineDefault means the VM); RunOptions.Engine overrides it
 	// per run. The engine never changes what is compiled — both tiers
-	// execute the same optimized IR — so, like Jobs, it is deliberately
-	// not part of Fingerprint: selecting the native tier must not split
+	// execute the same optimized IR — so it is deliberately not part of
+	// Fingerprint: selecting the native tier must not split
 	// the compile cache.
 	Engine Engine
 }
@@ -296,6 +299,9 @@ func (c Config) toPipeline(opts []Option) (pipeline.Config, error) {
 	default:
 		return pipeline.Config{}, fmt.Errorf("objinline: unknown mode %d", c.Mode)
 	}
+	if err := ValidateSolver(c.Solver); err != nil {
+		return pipeline.Config{}, err
+	}
 	layout := core.LayoutObjectOrder
 	if c.ParallelArrays {
 		layout = core.LayoutParallel
@@ -307,7 +313,6 @@ func (c Config) toPipeline(opts []Option) (pipeline.Config, error) {
 			TagDepth:  c.TagDepth,
 			MaxPasses: c.MaxPasses,
 			Solver:    c.Solver,
-			Jobs:      c.Jobs,
 		},
 		Trace: settings.trace,
 	}, nil
@@ -859,12 +864,6 @@ type AnalysisStats struct {
 		InstrEvals   int `json:"instr_evals"`
 		PartialEvals int `json:"partial_evals"`
 		Enqueues     int `json:"enqueues"`
-		// Parallel-solver scheduling counters; zero (and omitted from
-		// JSON) for the sequential engines.
-		SCCs           int `json:"sccs,omitempty"`
-		MaxSCCSize     int `json:"max_scc_size,omitempty"`
-		ParallelRounds int `json:"parallel_rounds,omitempty"`
-		SummaryHits    int `json:"summary_hits,omitempty"`
 	} `json:"work"`
 }
 
@@ -906,10 +905,6 @@ func (p *Program) CompileStats() CompileStats {
 		as.Work.InstrEvals = st.Work.InstrEvals
 		as.Work.PartialEvals = st.Work.PartialEvals
 		as.Work.Enqueues = st.Work.Enqueues
-		as.Work.SCCs = st.Work.SCCs
-		as.Work.MaxSCCSize = st.Work.MaxSCCSize
-		as.Work.ParallelRounds = st.Work.ParallelRounds
-		as.Work.SummaryHits = st.Work.SummaryHits
 		cs.Analysis = as
 	}
 	return cs
