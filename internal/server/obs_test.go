@@ -79,12 +79,13 @@ func TestRequestIDOnEveryPath(t *testing.T) {
 // checks the 429 body reports the queue depth and the response still
 // carries the request id.
 func TestShedCarriesRequestIDAndQueueDepth(t *testing.T) {
-	_, ts := newTestServer(t, Config{PoolSize: 1, QueueDepth: 1})
+	srv, ts := newTestServer(t, Config{PoolSize: 1, QueueDepth: 1})
 
 	// Occupy the worker with a slow compile, then a queued one, then force
-	// a shed. The big-source compile is slow enough to hold the token.
+	// a shed. The big-source compile (tens of milliseconds) is slow enough
+	// to hold the token.
 	slow := strings.Builder{}
-	slow.WriteString("func main() { var x int; ")
+	slow.WriteString("func main() { var x = 0; ")
 	for i := 0; i < 4000; i++ {
 		slow.WriteString("x = x + 1; ")
 	}
@@ -110,11 +111,18 @@ func TestShedCarriesRequestIDAndQueueDepth(t *testing.T) {
 	}
 	close(release)
 
-	// Keep firing distinct compiles until one sheds (the background ones
-	// saturate pool+queue quickly).
+	// Probe only once a background compile holds the worker and another
+	// waits in the queue. Probing straight away races the background
+	// requests: a probe that reaches the server first takes the worker
+	// itself, and every later probe then finds the queue drained.
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.queued.Load() < 1 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	// Keep firing distinct compiles until one sheds.
 	var shedResp *http.Response
 	var shedBody []byte
-	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; shedResp == nil && time.Now().Before(deadline); i++ {
 		reqBody, _ := json.Marshal(api.CompileRequest{
 			Filename: "probe-" + strconv.Itoa(i) + ".icc",
